@@ -36,7 +36,7 @@ from .bench import bench_setop
 from .datagen import GenParams, generate, overlapping_factor
 from .model import DuplicateFreeError, TpRelation
 from .setops import SetOpKind, apply_setop
-from .sweep import windows
+from .sweep import window_table
 from .tsvio import dump_relation, read_relation
 
 __all__ = ["main", "build_parser"]
@@ -186,7 +186,9 @@ def _cmd_windows(args) -> int:
 
     with _out_stream(args.out) as fp:
         fp.write(f"#fact:{arity}\tts\tte\tlambda_r\tlambda_s\n")
-        for win in windows(r, s):
+        # read_relation has checked both operands are duplicate-free,
+        # which is all the kernel relies on
+        for win in window_table(r, s).to_windows():
             fp.write(
                 "\t".join(
                     [

@@ -13,7 +13,19 @@ Two implementations, one contract:
   with numpy and is the production path for large inputs.
 
 The iterator is the specification-in-code; the kernel must agree with
-it window for window, and the tests hold it to that.
+it window for window, in the same (fact, ts) order, and the tests hold
+it to that.
+
+The kernel's event points are the distinct (fact, time) keys of every
+tuple start and end on both sides. Each side is sorted by (fact, ts)
+and duplicate-free, so its start keys form one ascending run and so do
+its end keys (a tuple of a fact ends before the next one of that fact
+starts). The four key arrays therefore concatenate into four sorted
+runs: a stable sort (timsort for int64) merges them in a near-linear
+pass, and dropping each key equal to its predecessor leaves the event
+points in order. That is the paper's single pass over sorted event
+points, with no hash table. Correctness does not depend on the runs:
+the sort is a full sort on any input.
 """
 
 from __future__ import annotations
@@ -252,13 +264,30 @@ def _merged_fact_table(
     return merged, rc, sc
 
 
-def window_table(r: TpRelation, s: TpRelation) -> WindowTable:
-    """Compute the full window set column-wise.
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of keys in ascending order.
 
-    Encodes (fact, time) pairs into single int64 keys, takes the sorted
-    distinct event points per fact, and keeps every gap between adjacent
-    points that at least one input tuple covers. Covering rows are found
-    with one binary-search pass per side.
+    Not numpy.unique: on NumPy >= 2.3 it takes a hash-based path that is
+    ~18x slower than this on the kernel's event keys (4M keys).
+    """
+    out = np.sort(keys, kind="stable")
+    keep = np.ones(len(out), dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
+def window_table(r: TpRelation, s: TpRelation) -> WindowTable:
+    """Compute the full window set column-wise, in (fact, ts) order.
+
+    Encodes (fact, time) pairs into single int64 keys, one per tuple
+    start and end on each side. The four key arrays are each one sorted
+    run (see the module docstring), so a stable sort merges them and an
+    adjacent-difference mask drops repeated keys, leaving the sorted
+    distinct event points. Every gap between adjacent points of one
+    fact that at least one input tuple covers is a window. Covering
+    rows are found with one binary-search pass per side. When the time
+    span times the fact count would overflow int64 keys, the time axis
+    is first rank-compressed through the same sorted dedup.
     """
     r = sort_relation(r)
     s = sort_relation(s)
@@ -277,7 +306,7 @@ def window_table(r: TpRelation, s: TpRelation) -> WindowTable:
     if len(merged) * span >= 2**62:
         # Degenerate spreads (huge chronon values, tiny tuple count):
         # rank-compress the time axis so keys stay in range.
-        compressed = np.unique(np.concatenate([all_ts, all_te]))
+        compressed = _sorted_distinct(np.concatenate([all_ts, all_te]))
         span = len(compressed) + 1
         rk_ts = rc * span + np.searchsorted(compressed, r.ts_array)
         rk_te = rc * span + np.searchsorted(compressed, r.te_array)
@@ -290,7 +319,7 @@ def window_table(r: TpRelation, s: TpRelation) -> WindowTable:
         sk_te = sc * span + (s.te_array - tmin)
     del all_ts, all_te
 
-    pts = np.unique(np.concatenate([rk_ts, rk_te, sk_ts, sk_te]))
+    pts = _sorted_distinct(np.concatenate([rk_ts, rk_te, sk_ts, sk_te]))
     fid = pts // span
     adj = fid[:-1] == fid[1:]
     seg_start = pts[:-1][adj]

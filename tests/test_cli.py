@@ -15,11 +15,15 @@ import pytest
 import tpset
 from conftest import rel, rows_key
 from tpset import (
+    GenParams,
     except_,
+    generate,
     intersect,
+    print_lineage,
     read_relation,
     sort_relation,
     union,
+    windows,
     write_relation,
 )
 from tpset.cli import _parse_query, main
@@ -186,7 +190,51 @@ class TestQuery:
         assert t2[0] == "op" and t2[3][0] == "op"
 
 
+def iterator_windows_tsv(left: str, right: str) -> str:
+    """The window listing as the per-window iterator produces it; the
+    reference the kernel-backed command must match byte for byte."""
+    r, _ = read_relation(left)
+    s, _ = read_relation(right)
+    lines = [f"#fact:{r.arity or s.arity or 1}\tts\tte\tlambda_r\tlambda_s"]
+    for w in windows(r, s):
+        lam_r = print_lineage(w.lam_r) if w.lam_r is not None else ""
+        lam_s = print_lineage(w.lam_s) if w.lam_s is not None else ""
+        lines.append(
+            "\t".join([*w.fact, str(w.interval.ts), str(w.interval.te), lam_r, lam_s])
+        )
+    return "".join(line + "\n" for line in lines)
+
+
 class TestWindows:
+    @pytest.mark.parametrize("pair", ["ab", "ac", "cb", "bb", "ca"])
+    def test_matches_iterator_on_goldens(self, capsys, files, pair):
+        left, right = files[pair[0]], files[pair[1]]
+        rc, out, _ = run(capsys, ["windows", left, right])
+        assert rc == 0
+        assert out == iterator_windows_tsv(left, right)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_matches_iterator_on_random_multi_fact(self, capsys, tmp_path, seed):
+        paths = []
+        for side, gap in (("r", 1), ("s", 0)):
+            rel_ = generate(
+                GenParams(
+                    num_tuples=400,
+                    num_facts=5,
+                    max_interval_len=3,
+                    max_gap=gap,
+                    seed=seed,
+                    atom_prefix=side,
+                )
+            )
+            path = tmp_path / f"{side}.tsv"
+            path.write_text(write_relation(rel_), encoding="utf-8")
+            paths.append(str(path))
+        rc, out, _ = run(capsys, ["windows", *paths])
+        assert rc == 0
+        assert out == iterator_windows_tsv(*paths)
+        assert out.count("\n") > 400
+
     def test_golden(self, capsys, files):
         rc, out, _ = run(capsys, ["windows", files["a"], files["b"]])
         assert rc == 0

@@ -233,7 +233,48 @@ class TestRandomizedAgainstChrononScan:
         assert len(ws) <= 2 * len(r) + 2 * len(s) - len(facts)
 
 
+@st.composite
+def repeated_key_pairs(draw) -> tuple[TpRelation, TpRelation]:
+    """Two relations on the grid 0..8 built to repeat event keys: each
+    fact's tuples are cut from one sorted point set, so covered pieces
+    sit gap-0 next to each other, both sides draw from the same few
+    points, several facts share them, and sometimes a side is empty."""
+    n_facts = draw(st.integers(1, 3))
+    sides = []
+    for prefix in ("r", "s"):
+        rows = []
+        for f in range(n_facts):
+            cuts = sorted(draw(st.sets(st.integers(0, 8), max_size=7)))
+            covered = draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
+            for ts, te, keep in zip(cuts, cuts[1:], covered):
+                if keep:
+                    iv = Interval(ts, te)
+                    rows.append(TpTuple((f"f{f}",), A(f"{prefix}{len(rows)}"), iv, 0.5))
+        sides.append(TpRelation.from_tuples(rows))
+    emptied = draw(st.sampled_from([None, 0, 1]))
+    if emptied is not None:
+        sides[emptied] = TpRelation.from_tuples([])
+    return sides[0], sides[1]
+
+
 class TestVectorKernel:
+    def test_row_order_matches_iterator_on_goldens(self, rel_a, rel_b, rel_c):
+        for r, s in [(rel_a, rel_c), (rel_a, rel_b), (rel_c, rel_b), (rel_b, rel_b)]:
+            assert as_rows(window_table(r, s).to_windows()) == as_rows(windows(r, s))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_row_order_matches_iterator_random(self, seed):
+        rng = np.random.default_rng(7000 + seed)
+        r = random_relation(rng, "r", 1 + seed % 6, int(rng.integers(0, 20)))
+        s = random_relation(rng, "s", 1 + seed % 6, int(rng.integers(0, 20)))
+        assert as_rows(window_table(r, s).to_windows()) == as_rows(windows(r, s))
+
+    @given(repeated_key_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_row_order_matches_iterator_on_repeated_keys(self, pair):
+        r, s = pair
+        assert as_rows(window_table(r, s).to_windows()) == as_rows(windows(r, s))
+
     def test_matches_iterator_on_goldens(self, rel_a, rel_b, rel_c):
         for r, s in [(rel_a, rel_c), (rel_a, rel_b), (rel_c, rel_b), (rel_b, rel_b)]:
             wt = window_table(r, s)
@@ -290,6 +331,33 @@ class TestVectorKernel:
             ("f", -big + 5, -big + 9, None, A("s1")),
             ("f", big - 5, big, A("r2"), None),
         ]
+
+    def test_wide_time_values_with_shared_endpoints(self):
+        # the rank-compressed branch dedups the time axis too: here the
+        # sides share endpoints and r has gap-0 neighbours
+        big = 2**61
+        r = TpRelation.from_tuples(
+            [
+                TpTuple(("f",), Atom("r1"), Interval(-big, -big + 5), 0.5),
+                TpTuple(("f",), Atom("r2"), Interval(-big + 5, -big + 9), 0.5),
+                TpTuple(("f",), Atom("r3"), Interval(big - 5, big), 0.5),
+            ]
+        )
+        s = TpRelation.from_tuples(
+            [
+                TpTuple(("f",), Atom("s1"), Interval(-big, -big + 5), 0.5),
+                TpTuple(("f",), Atom("s2"), Interval(-big + 9, -big + 12), 0.5),
+                TpTuple(("f",), Atom("s3"), Interval(big - 5, big), 0.5),
+            ]
+        )
+        rows = as_rows(window_table(r, s).to_windows())
+        assert rows == [
+            ("f", -big, -big + 5, A("r1"), A("s1")),
+            ("f", -big + 5, -big + 9, A("r2"), None),
+            ("f", -big + 9, -big + 12, None, A("s2")),
+            ("f", big - 5, big, A("r3"), A("s3")),
+        ]
+        assert rows == as_rows(windows(r, s))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
