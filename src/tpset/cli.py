@@ -41,11 +41,7 @@ from .tsvio import dump_relation, read_relation
 
 __all__ = ["main", "build_parser"]
 
-_KINDS = {
-    "intersect": SetOpKind.INTERSECTION,
-    "union": SetOpKind.UNION,
-    "except": SetOpKind.DIFFERENCE,
-}
+_KINDS = {k.value: k for k in SetOpKind}
 
 
 class _UsageError(Exception):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -215,22 +215,20 @@ class _GatherColumn(LineageColumn):
 
 
 class OpLineageColumn(LineageColumn):
-    """Lazy result column of a set operation. Row i refers to row
-    left_idx[i] of the left parent column and row right_idx[i] of the
-    right one; -1 marks an absent side. kind is one of 'and', 'or',
-    'andnot' and mirrors the concatenation functions."""
+    """Lazy result column of a set operation. Row i is
+    concat(left row left_idx[i], right row right_idx[i]), where -1 marks
+    an absent side, passed to concat as None. concat is the operation's
+    lineage concatenation, the concat field of its SetOpKind row."""
 
     def __init__(
         self,
-        kind: str,
+        concat: Callable[[Optional[Lineage], Optional[Lineage]], Lineage],
         left: LineageColumn,
         right: LineageColumn,
         left_idx: np.ndarray,
         right_idx: np.ndarray,
     ):
-        if kind not in ("and", "or", "andnot"):
-            raise ValueError(kind)
-        self.kind = kind
+        self.concat = concat
         self._left = left
         self._right = right
         self._li = np.asarray(left_idx, dtype=np.int64)
@@ -240,22 +238,17 @@ class OpLineageColumn(LineageColumn):
         return len(self._li)
 
     def get(self, i: int) -> Lineage:
-        from .lineage import and_fn, and_not_fn, or_fn
-
         li = int(self._li[i])
         ri = int(self._ri[i])
-        lam_l = self._left.get(li) if li >= 0 else None
-        lam_r = self._right.get(ri) if ri >= 0 else None
-        if self.kind == "and":
-            return and_fn(lam_l, lam_r)
-        if self.kind == "andnot":
-            return and_not_fn(lam_l, lam_r)
-        return or_fn(lam_l, lam_r)
+        return self.concat(
+            self._left.get(li) if li >= 0 else None,
+            self._right.get(ri) if ri >= 0 else None,
+        )
 
     def take(self, idx: np.ndarray) -> "OpLineageColumn":
         idx = np.asarray(idx, dtype=np.int64)
         return OpLineageColumn(
-            self.kind, self._left, self._right, self._li[idx], self._ri[idx]
+            self.concat, self._left, self._right, self._li[idx], self._ri[idx]
         )
 
     def atom_space(self) -> "AtomSpace":

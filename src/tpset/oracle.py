@@ -25,10 +25,8 @@ from .model import (
     RelationError,
     TpRelation,
     TpTuple,
-    sort_relation,
-    validate_duplicate_free,
 )
-from .setops import SetOpKind, _merge_envs
+from .setops import SetOpKind, _check_operands, _merge_envs
 
 __all__ = [
     "SPAN_LIMIT",
@@ -99,14 +97,7 @@ def oracle_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
     of coalesced output. Probabilities are evaluated per output row
     against the merged atom environment.
     """
-    if r.arity is not None and s.arity is not None and r.arity != s.arity:
-        raise RelationError(f"operand fact arities differ: {r.arity} vs {s.arity}")
-    r = sort_relation(r)
-    s = sort_relation(s)
-    for rel in (r, s):
-        bad = validate_duplicate_free(rel)
-        if bad is not None:
-            raise DuplicateFreeError(*bad)
+    r, s = _check_operands(r, s)
     by_fact_r = _rows_by_fact(r)
     by_fact_s = _rows_by_fact(s)
     facts = sorted(by_fact_r.keys() | by_fact_s.keys())

@@ -1,18 +1,25 @@
 """Temporal-probabilistic set operations.
 
-Each operation is a window sweep followed by a per-window filter and a
-lineage concatenation:
+Each operation is the window sweep plus one row of the operator table,
+SetOpKind. A row holds the operation's name, its window filter (which
+windows survive, from the presence of each side), its lineage
+concatenation and its independent-probability formula:
 
-  intersection  keep windows covered on both sides      (l1) and (l2)
-  difference    keep windows covered on the left side   l1 [and not l2]
-  union         keep every window                       pass-through/or
+  kind          filter    concat          independent p
+  intersection  r and s   l1 and l2       p1 p2
+  union         r or s    l1 or l2        1 - (1-p1)(1-p2)
+  difference    r         l1 and not l2   p1 (1-p2)
+
+A lone side's lineage and probability pass through unchanged. The
+engine, the snapshot oracle and the lazy OpLineageColumn all read the
+same row.
 
 Output probabilities are exact. When the two inputs provably share no
-atom ids the arithmetic works directly on the operand tuple
-probabilities (independence), which is what makes the million-tuple
-benchmarks feasible; otherwise each output formula is evaluated against
-the merged probability environment, which handles deliberately repeated
-atoms at exponential cost in the number of repeats.
+atom ids, the independent formula works directly on the operand tuple
+probabilities, which is what makes the million-tuple benchmarks
+feasible; otherwise each output formula is evaluated against the merged
+probability environment, which handles deliberately repeated atoms at
+exponential cost in the number of repeats.
 
 Outputs are snapshot-correct: adjacent output tuples of one fact whose
 lineages are syntactically equivalent get merged, because per-snapshot
@@ -23,12 +30,10 @@ provably a no-op.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 import numpy as np
 
 from .lineage import (
-    Lineage,
     LineageError,
     and_fn,
     and_not_fn,
@@ -37,8 +42,6 @@ from .lineage import (
     syntactic_equiv,
 )
 from .model import (
-    Fact,
-    Interval,
     LineageColumn,
     MergedProbEnv,
     OpLineageColumn,
@@ -48,7 +51,7 @@ from .model import (
     sort_relation,
     validate_duplicate_free,
 )
-from .sweep import SweepStatus, init_status, next_window, window_table
+from .sweep import window_table
 
 __all__ = [
     "SetOpKind",
@@ -59,59 +62,44 @@ __all__ = [
 ]
 
 
-def _side_live(valid, pos: int, rel: TpRelation) -> bool:
-    # a side can still contribute while its cursor has tuples left or a
-    # promoted tuple keeps covering the current region
-    return valid is not None or pos < len(rel)
+# independent_prob formulas. A lone side passes its probability through
+# by np.where instead of being folded in as p=0: 1-(1-p) is not bit-equal
+# to p, and underflows to 0 for tiny p.
+
+
+def _or_prob(pr, ps, r_present, s_present):
+    return np.where(
+        r_present & s_present,
+        1.0 - (1.0 - pr) * (1.0 - ps),
+        np.where(r_present, pr, ps),
+    )
+
+
+def _and_not_prob(pr, ps, r_present, s_present):
+    return np.where(s_present, pr * (1.0 - ps), pr)
 
 
 class SetOpKind(enum.Enum):
-    """The three operations, each bundling its window filter, its
-    lineage concatenation and its sweep liveness rule."""
+    """The operator table: one row per operation, see the module
+    docstring. window_filter works elementwise on bool arrays and on
+    plain bools alike."""
 
-    INTERSECTION = "intersect"
-    UNION = "union"
-    DIFFERENCE = "except"
+    def __new__(cls, value, window_filter, concat, independent_prob):
+        row = object.__new__(cls)
+        row._value_ = value
+        row.window_filter = window_filter
+        row.concat = concat
+        row.independent_prob = independent_prob
+        return row
 
-    def window_filter(self, r_present: bool, s_present: bool) -> bool:
-        if self is SetOpKind.INTERSECTION:
-            return r_present and s_present
-        if self is SetOpKind.DIFFERENCE:
-            return r_present
-        return True
-
-    def concat(
-        self, lam_r: Optional[Lineage], lam_s: Optional[Lineage]
-    ) -> Lineage:
-        if self is SetOpKind.INTERSECTION:
-            return and_fn(lam_r, lam_s)
-        if self is SetOpKind.DIFFERENCE:
-            return and_not_fn(lam_r, lam_s)
-        return or_fn(lam_r, lam_s)
-
-    @property
-    def column_kind(self) -> str:
-        if self is SetOpKind.INTERSECTION:
-            return "and"
-        if self is SetOpKind.DIFFERENCE:
-            return "andnot"
-        return "or"
-
-    def sweep_live(self, status: SweepStatus) -> bool:
-        """Whether continuing the sweep can still produce output.
-
-        Intersection needs both sides, difference only the left, union
-        either. A side counts as live while its cursor OR its promoted
-        valid tuple is present; testing the cursor alone would cut off
-        a long tuple that outlives the other side's last one.
-        """
-        r_live = _side_live(status.r_valid, status.r_pos, status.r_rel)
-        s_live = _side_live(status.s_valid, status.s_pos, status.s_rel)
-        if self is SetOpKind.INTERSECTION:
-            return r_live and s_live
-        if self is SetOpKind.DIFFERENCE:
-            return r_live
-        return r_live or s_live
+    INTERSECTION = (
+        "intersect",
+        lambda r, s: r & s,
+        and_fn,
+        lambda pr, ps, r_present, s_present: pr * ps,
+    )
+    UNION = ("union", lambda r, s: r | s, or_fn, _or_prob)
+    DIFFERENCE = ("except", lambda r, s: r, and_not_fn, _and_not_prob)
 
 
 def _check_operands(r: TpRelation, s: TpRelation) -> tuple[TpRelation, TpRelation]:
@@ -128,6 +116,14 @@ def _check_operands(r: TpRelation, s: TpRelation) -> tuple[TpRelation, TpRelatio
     return r, s
 
 
+def _gather(p: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    # Safe gather: absent sides (-1) read row 0, or 0.0 from an empty
+    # relation; independent_prob discards those values.
+    if len(p) == 0:
+        return np.zeros(len(idx), dtype=np.float64)
+    return p[np.maximum(idx, 0)]
+
+
 def apply_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
     """Evaluate one set operation. Operands may arrive unsorted; the
     result is sorted, duplicate-free and carries the merged probability
@@ -135,22 +131,14 @@ def apply_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
     r, s = _check_operands(r, s)
     wt = window_table(r, s)
 
-    r_has = wt.r_idx >= 0
-    s_has = wt.s_idx >= 0
-    if kind is SetOpKind.INTERSECTION:
-        keep = r_has & s_has
-    elif kind is SetOpKind.DIFFERENCE:
-        keep = r_has
-    else:
-        keep = np.ones(len(wt), dtype=bool)
-
+    keep = kind.window_filter(wt.r_idx >= 0, wt.s_idx >= 0)
     codes = wt.fact_codes[keep]
     ts = wt.ts[keep]
     te = wt.te[keep]
     ri = wt.r_idx[keep]
     si = wt.s_idx[keep]
     col: LineageColumn = OpLineageColumn(
-        kind.column_kind, r.lineage_column, s.lineage_column, ri, si
+        kind.concat, r.lineage_column, s.lineage_column, ri, si
     )
     env = _merge_envs(r.atom_probs, s.atom_probs)
 
@@ -158,7 +146,9 @@ def apply_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
         s.lineage_column.atom_space()
     )
     if disjoint:
-        p = _independent_probs(kind, r, s, ri, si)
+        p = kind.independent_prob(
+            _gather(r.p_array, ri), _gather(s.p_array, si), ri >= 0, si >= 0
+        )
     else:
         p = np.fromiter(
             (probability(col.get(i), env) for i in range(len(ri))),
@@ -220,35 +210,6 @@ def _merge_envs(e1, e2):
     return MergedProbEnv(e1, e2)
 
 
-def _independent_probs(
-    kind: SetOpKind,
-    r: TpRelation,
-    s: TpRelation,
-    ri: np.ndarray,
-    si: np.ndarray,
-) -> np.ndarray:
-    # Safe gathers: masked-out indices read row 0 and are discarded by
-    # the np.where selections below.
-    pr = (
-        r.p_array[np.maximum(ri, 0)]
-        if len(r)
-        else np.zeros(len(ri), dtype=np.float64)
-    )
-    ps = (
-        s.p_array[np.maximum(si, 0)]
-        if len(s)
-        else np.zeros(len(si), dtype=np.float64)
-    )
-    if kind is SetOpKind.INTERSECTION:
-        return pr * ps
-    if kind is SetOpKind.DIFFERENCE:
-        return np.where(si >= 0, pr * (1.0 - ps), pr)
-    both = (ri >= 0) & (si >= 0)
-    return np.where(
-        both, 1.0 - (1.0 - pr) * (1.0 - ps), np.where(ri >= 0, pr, ps)
-    )
-
-
 def _coalesce(codes, ts, te, p, col: LineageColumn):
     """Merge runs of contiguous same-fact rows with equivalent lineages.
 
@@ -277,35 +238,3 @@ def _coalesce(codes, ts, te, p, col: LineageColumn):
         p[starts],
         col.take(starts),
     )
-
-
-def _apply_via_sweep(
-    kind: SetOpKind, r: TpRelation, s: TpRelation
-) -> list[tuple[Fact, Interval, Lineage]]:
-    """Reference evaluation that drives the resumable sweep directly,
-    using the kind's liveness rule to stop early. Returns bare rows
-    without probabilities; exists so tests can hold the vectorized path
-    to the step-by-step one."""
-    status = init_status(sort_relation(r), sort_relation(s))
-    rows: list[tuple[Fact, Interval, Lineage]] = []
-    while kind.sweep_live(status):
-        win, status = next_window(status)
-        if win is None:
-            break
-        if kind.window_filter(win.lam_r is not None, win.lam_s is not None):
-            rows.append(
-                (win.fact, win.interval, kind.concat(win.lam_r, win.lam_s))
-            )
-    merged: list[tuple[Fact, Interval, Lineage]] = []
-    for row in rows:
-        if (
-            merged
-            and merged[-1][0] == row[0]
-            and merged[-1][1].te == row[1].ts
-            and syntactic_equiv(merged[-1][2], row[2])
-        ):
-            prev = merged.pop()
-            merged.append((prev[0], Interval(prev[1].ts, row[1].te), prev[2]))
-        else:
-            merged.append(row)
-    return merged

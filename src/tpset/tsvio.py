@@ -7,7 +7,9 @@ One header line, then one line per tuple:
 
 The fact occupies the first k columns (k from the header), lambda is
 the lineage in its text form, ts/te are the half-open interval bounds
-and p is the probability printed with nine decimals. Tabs separate, \\n
+and p is the probability printed with nine decimals, except a value
+that would print as zero, which is written in Python's shortest
+round-trip form (1e-10) so the file reads back. Tabs separate, \\n
 terminates, the encoding is UTF-8.
 
 Probabilities quantized to nine decimals (the generator's are) survive
@@ -82,6 +84,10 @@ def _read(fp: TextIO) -> tuple[TpRelation, dict[str, float]]:
             raise TsvFormatError(
                 f"line {lineno}: bad lambda ({e})"
             ) from e
+        except RecursionError:
+            raise TsvFormatError(
+                f"line {lineno}: lambda nested too deeply"
+            ) from None
         try:
             ts = int(parts[arity + 1])
             te = int(parts[arity + 2])
@@ -190,7 +196,11 @@ def dump_relation(
         row.append(str(int(ts[i])))
         row.append(str(int(te[i])))
         if with_prob:
-            row.append(f"{float(p[i]):.9f}")
+            text = f"{float(p[i]):.9f}"
+            if text == "0.000000000":
+                # p is positive; a written zero would fail the reader
+                text = repr(float(p[i]))
+            row.append(text)
         out.append("\t".join(row))
         if len(out) >= 65536:
             fp.write("\n".join(out) + "\n")

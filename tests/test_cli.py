@@ -279,6 +279,32 @@ class TestValidate:
         assert rc == 1
         assert "milk" in out  # report goes to stdout for this subcommand
 
+    def test_tiny_probability_output_validates(self, capsys, tmp_path, monkeypatch):
+        paths = []
+        for name in ("x", "y"):
+            path = tmp_path / f"{name}.tsv"
+            path.write_text(write_relation(rel([("milk", name, 0, 5, 1e-5)])))
+            paths.append(str(path))
+        rc, out, _ = run(capsys, ["op", "intersect", *paths])
+        assert rc == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        rc, ok, err = run(capsys, ["validate", "-"])
+        assert (rc, ok.strip(), err) == (0, "ok", "")
+        got, _ = read_relation(io.StringIO(out))
+        assert got[0].p == 1e-5 * 1e-5
+
+    @pytest.mark.parametrize(
+        "lam",
+        ["!" * 3000 + "x", "(" * 3000 + "x" + ")" * 3000],
+        ids=["negations", "parentheses"],
+    )
+    def test_deeply_nested_lambda_is_user_error(self, capsys, tmp_path, lam):
+        bad = tmp_path / "deep.tsv"
+        bad.write_text(f"#fact:1\tlambda\tts\tte\tp\nmilk\t{lam}\t0\t1\t0.5\n")
+        rc, _, err = run(capsys, ["validate", str(bad)])
+        assert rc == 1
+        assert "line 2: lambda nested too deeply" in err
+
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "garbled.tsv"
         bad.write_text("#fact:1\tlambda\tts\tte\tp\nmilk\tx\tzero\t1\t0.5\n")

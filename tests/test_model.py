@@ -17,6 +17,9 @@ from tpset import (
     RelationError,
     TpRelation,
     TpTuple,
+    and_fn,
+    and_not_fn,
+    or_fn,
     sort_relation,
     validate_duplicate_free,
 )
@@ -221,19 +224,21 @@ class TestLineageColumns:
         assert not col.rows_distinct_hint()
 
     @pytest.mark.parametrize(
-        "kind,li,ri,expected",
+        "concat,li,ri,expected",
         [
-            ("and", 0, 1, And(Atom("l1"), Atom("r2"))),
-            ("andnot", 0, 1, And(Atom("l1"), Not(Atom("r2")))),
-            ("andnot", 0, -1, Atom("l1")),
-            ("or", 0, 1, Or(Atom("l1"), Atom("r2"))),
+            (and_fn, 0, 1, And(Atom("l1"), Atom("r2"))),
+            (and_not_fn, 0, 1, And(Atom("l1"), Not(Atom("r2")))),
+            (and_not_fn, 0, -1, Atom("l1")),
+            (or_fn, 0, 1, Or(Atom("l1"), Atom("r2"))),
         ],
+        # name each concatenation by the connective it builds
+        ids=lambda v: {and_fn: "and", and_not_fn: "andnot", or_fn: "or"}.get(v),
     )
-    def test_op_column(self, kind, li, ri, expected):
+    def test_op_column(self, concat, li, ri, expected):
         left = ObjectLineageColumn([Atom("l1"), Atom("l2")])
         right = ObjectLineageColumn([Atom("r1"), Atom("r2")])
         col = OpLineageColumn(
-            kind, left, right, np.array([li]), np.array([ri])
+            concat, left, right, np.array([li]), np.array([ri])
         )
         assert col.get(0) == expected
 
@@ -241,7 +246,7 @@ class TestLineageColumns:
         lam = And(Atom("x"), Atom("y"))
         left = ObjectLineageColumn([lam])
         right = ObjectLineageColumn([])
-        col = OpLineageColumn("or", left, right, np.array([0]), np.array([-1]))
+        col = OpLineageColumn(or_fn, left, right, np.array([0]), np.array([-1]))
         assert col.get(0) is lam
 
 

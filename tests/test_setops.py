@@ -26,8 +26,8 @@ from tpset import (
     syntactic_equiv,
     union,
     validate_duplicate_free,
+    windows,
 )
-from tpset.setops import _apply_via_sweep
 
 
 def rows_of(r: TpRelation) -> list[tuple]:
@@ -246,6 +246,29 @@ class TestCoalescing:
         ]
 
 
+def _apply_via_sweep(kind: SetOpKind, r: TpRelation, s: TpRelation) -> list[tuple]:
+    """Reference evaluation over the step-by-step sweep iterator: filter
+    and concatenate every window, then merge contiguous same-fact rows
+    with equivalent lineages. Returns (fact, interval, lineage) rows
+    without probabilities."""
+    merged: list[tuple] = []
+    for win in windows(r, s):
+        if not kind.window_filter(win.lam_r is not None, win.lam_s is not None):
+            continue
+        row = (win.fact, win.interval, kind.concat(win.lam_r, win.lam_s))
+        if (
+            merged
+            and merged[-1][0] == row[0]
+            and merged[-1][1].te == row[1].ts
+            and syntactic_equiv(merged[-1][2], row[2])
+        ):
+            prev = merged.pop()
+            merged.append((prev[0], Interval(prev[1].ts, row[1].te), prev[2]))
+        else:
+            merged.append(row)
+    return merged
+
+
 def assert_matches_sweep_rows(out: TpRelation, ref) -> None:
     got = [(t.fact, t.interval.ts, t.interval.te, t.lineage) for t in out]
     want = [(f, iv.ts, iv.te, lam) for f, iv, lam in ref]
@@ -308,6 +331,46 @@ class TestReferenceDriverAgreement:
         assert_matches_sweep_rows(
             apply_setop(kind, r, s), _apply_via_sweep(kind, r, s)
         )
+
+
+# Presence patterns (left side, right side) each operation's window
+# filter admits.
+ADMITTED = {
+    SetOpKind.INTERSECTION: [(True, True)],
+    SetOpKind.DIFFERENCE: [(True, True), (True, False)],
+    SetOpKind.UNION: [(True, True), (True, False), (False, True)],
+}
+TABLE_P = [0.3, 0.7, 1.0, 1e-5]
+
+
+class TestOperatorTable:
+    @pytest.mark.parametrize("s_present", [True, False])
+    @pytest.mark.parametrize("r_present", [True, False])
+    @pytest.mark.parametrize("kind", list(SetOpKind))
+    def test_window_filter_on_bools_and_arrays(self, kind, r_present, s_present):
+        on_bools = kind.window_filter(r_present, s_present)
+        on_arrays = kind.window_filter(np.array([r_present]), np.array([s_present]))
+        assert on_bools == ((r_present, s_present) in ADMITTED[kind])
+        assert on_arrays.tolist() == [on_bools]
+
+    @pytest.mark.parametrize("ps", TABLE_P)
+    @pytest.mark.parametrize("pr", TABLE_P)
+    @pytest.mark.parametrize(
+        "kind,r_present,s_present",
+        [(k, r, s) for k, patterns in ADMITTED.items() for r, s in patterns],
+    )
+    def test_independent_prob_is_probability_of_concat(
+        self, kind, r_present, s_present, pr, ps
+    ):
+        # bit for bit: the vectorized formula and the lineage evaluator
+        # must do the same float arithmetic
+        lam = kind.concat(
+            Atom("x") if r_present else None, Atom("y") if s_present else None
+        )
+        got = kind.independent_prob(
+            np.array([pr]), np.array([ps]), np.array([r_present]), np.array([s_present])
+        )
+        assert got.tolist() == [probability(lam, {"x": pr, "y": ps})]
 
 
 class TestProbabilityEnvironments:

@@ -220,6 +220,25 @@ class TestRoundTrips:
         assert rows_key(back) == rows_key(r)
         assert dict(env) == dict(r.atom_probs)
 
+    def test_tiny_probability_round_trip(self):
+        # only a value that would print as zero leaves the 9-decimal form
+        r = rel(
+            [
+                ("milk", "x", 0, 5, 1e-10),
+                ("milk", "y", 5, 9, 0.3),
+                ("milk", "z", 9, 12, 6e-10),
+            ]
+        )
+        text = write_relation(r)
+        assert text.splitlines()[1:] == [
+            "milk\tx\t0\t5\t1e-10",
+            "milk\ty\t5\t9\t0.300000000",
+            "milk\tz\t9\t12\t0.000000001",
+        ]
+        back, _ = read_relation(io.StringIO(text))
+        assert back[0].p == 1e-10
+        assert write_relation(back) == text
+
     def test_negative_times_round_trip(self):
         text = (
             "#fact:1\tlambda\tts\tte\tp\n"
