@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import PrefixAtomColumn, PrefixProbEnv, TpRelation
+from .model import AtomTable, PrefixAtomColumn, TpRelation
 from .sweep import window_table
 
 __all__ = ["GenParams", "generate", "overlapping_factor"]
@@ -131,7 +131,7 @@ def generate(params: GenParams) -> TpRelation:
         te_out,
         p_out,
         PrefixAtomColumn(params.prefix, n),
-        PrefixProbEnv(params.prefix, p_out),
+        AtomTable(blocks=[(params.prefix, p_out)]),
         is_sorted=True,
     )
 

@@ -10,6 +10,8 @@ builds is the shape that gets stored, printed and compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import itemgetter
 from typing import Mapping, Optional, Union
 
 __all__ = [
@@ -133,21 +135,35 @@ def or_fn(lam1: Optional[Lineage], lam2: Optional[Lineage]) -> Lineage:
 # ---------------------------------------------------------------------------
 
 
-def _count_atoms(lam: Lineage) -> dict[str, int]:
-    # Iterative walk; composed query results can nest deeper than the
-    # default recursion limit would forgive.
-    counts: dict[str, int] = {}
-    stack = [lam]
+def _postfix(lam: Lineage) -> list:
+    # The formula in postfix order: atom ids, and the classes Not, And
+    # and Or for the operators. Built over an explicit stack, since
+    # composed query results nest deeper than the recursion limit.
+    code: list = []
+    stack: list = [lam]
     while stack:
         node = stack.pop()
-        if isinstance(node, Atom):
-            counts[node.id] = counts.get(node.id, 0) + 1
-        elif isinstance(node, Not):
-            stack.append(node.child)
+        if type(node) is Atom:
+            code.append(node.id)
+        elif type(node) is type:
+            code.append(node)
+        elif type(node) is Not:
+            stack += (Not, node.child)
         else:
-            stack.append(node.left)
-            stack.append(node.right)
+            stack += (type(node), node.right, node.left)
+    return code
+
+
+def _count_ids(code: list) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for op in code:
+        if type(op) is str:
+            counts[op] = counts.get(op, 0) + 1
     return counts
+
+
+def _count_atoms(lam: Lineage) -> dict[str, int]:
+    return _count_ids(_postfix(lam))
 
 
 def base_atoms(lam: Lineage) -> frozenset[str]:
@@ -178,48 +194,49 @@ def canonicalize(lam: Lineage) -> Lineage:
     The result is a left-nested chain, so equal canonical forms are
     structurally equal trees.
     """
-    if isinstance(lam, Atom):
-        return lam
-    if isinstance(lam, Not):
-        return Not(canonicalize(lam.child))
-    op = type(lam)
+    return _canonical(lam)[1]
+
+
+def _operands(node: Union[And, Or]) -> list[Lineage]:
+    # the maximal subtrees under a chain of node's operator
     parts: list[Lineage] = []
-    stack: list[Lineage] = [lam]
+    stack: list[Lineage] = [node]
     while stack:
-        node = stack.pop()
-        if isinstance(node, op):
-            stack.append(node.left)
-            stack.append(node.right)
+        top = stack.pop()
+        if type(top) is type(node):
+            stack += (top.left, top.right)
         else:
-            parts.append(canonicalize(node))
-    parts.sort(key=_structural_key)
-    out = parts[0]
-    for nxt in parts[1:]:
-        out = op(out, nxt)
-    return out
+            parts.append(top)
+    return parts
 
 
-def _structural_key(lam: Lineage) -> str:
-    # Preorder serialization. Only ever called on canonical subtrees, so
-    # equal keys mean equal trees.
-    out: list[str] = []
-    stack = [lam]
+_KEY_TOKEN = {Not: "!(", And: "&(", Or: "|("}
+
+
+def _canonical(lam: Lineage) -> tuple[str, Lineage]:
+    """The structural key and the canonical form. The key is the
+    preorder serialization of the canonical tree, so equal keys mean
+    equal trees. Postorder over an explicit stack, where an (operator,
+    operand count) item combines the operands' results."""
+    out: list[tuple[str, Lineage]] = []
+    stack: list = [lam]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            out.append("a:" + node.id)
-        elif isinstance(node, Not):
-            out.append("!(")
-            stack.append(node.child)
-        elif isinstance(node, And):
-            out.append("&(")
-            stack.append(node.right)
-            stack.append(node.left)
+        item = stack.pop()
+        if type(item) is tuple:
+            op, n = item
+            canon = sorted(out[-n:], key=itemgetter(0))
+            del out[-n:]
+            trees = [c for _, c in canon]
+            tree = Not(trees[0]) if op is Not else reduce(op, trees)
+            tokens = [_KEY_TOKEN[op]] * max(1, n - 1)
+            out.append(("\x00".join(tokens + [k for k, _ in canon]), tree))
+        elif type(item) is Atom:
+            out.append(("a:" + item.id, item))
         else:
-            out.append("|(")
-            stack.append(node.right)
-            stack.append(node.left)
-    return "\x00".join(out)
+            parts = [item.child] if type(item) is Not else _operands(item)
+            stack.append((type(item), len(parts)))
+            stack += parts
+    return out[0]
 
 
 def syntactic_equiv(lam1: Optional[Lineage], lam2: Optional[Lineage]) -> bool:
@@ -231,9 +248,12 @@ def syntactic_equiv(lam1: Optional[Lineage], lam2: Optional[Lineage]) -> bool:
     """
     if lam1 is None or lam2 is None:
         return lam1 is None and lam2 is None
-    if lam1 == lam2:
+    if lam1 is lam2:
         return True
-    return canonicalize(lam1) == canonicalize(lam2)
+    # canonical forms keep every leaf, so differing atom counts settle it
+    if _count_atoms(lam1) != _count_atoms(lam2):
+        return False
+    return _canonical(lam1)[0] == _canonical(lam2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,59 +269,61 @@ def probability(lam: Lineage, probs: ProbAssignment) -> float:
     Shannon expansion and the pinned residue (one-occurrence by
     construction) is evaluated linearly, which stays exact.
     """
-    counts = _count_atoms(lam)
-    missing = sorted(a for a in counts if a not in probs)
-    if missing:
+    code = _postfix(lam)
+    counts = _count_ids(code)
+    try:
+        # each atom is looked up once; the passes below read this dict
+        vals = {a: probs[a] for a in counts}
+    except KeyError:
+        missing = sorted(a for a in counts if a not in probs)
         raise MissingAtomError(
             "no probability for atom(s): " + ", ".join(missing)
-        )
+        ) from None
     repeated = sorted(a for a, c in counts.items() if c > 1)
-    if not repeated:
-        return _eval_pinned(lam, probs, {})
     if len(repeated) > MAX_REPEATED_ATOMS:
         raise RepeatBudgetError(
             f"{len(repeated)} repeated atoms exceeds the exact-evaluation "
             f"budget of {MAX_REPEATED_ATOMS}"
         )
-    return _shannon(lam, probs, repeated, 0, {})
+    return _shannon(code, vals, repeated)
 
 
-def _shannon(
-    lam: Lineage,
-    probs: ProbAssignment,
-    repeated: list[str],
-    i: int,
-    pinned: dict[str, float],
-) -> float:
-    if i == len(repeated):
-        return _eval_pinned(lam, probs, pinned)
-    atom = repeated[i]
-    p = probs[atom]
-    pinned[atom] = 1.0
-    hi = _shannon(lam, probs, repeated, i + 1, pinned)
-    pinned[atom] = 0.0
-    lo = _shannon(lam, probs, repeated, i + 1, pinned)
-    del pinned[atom]
+def _shannon(code: list, vals: dict[str, float], repeated: list[str]) -> float:
+    if not repeated:
+        return _eval_pinned(code, vals)
+    atom = repeated[0]
+    p = vals[atom]
+    vals[atom] = 1.0
+    hi = _shannon(code, vals, repeated[1:])
+    vals[atom] = 0.0
+    lo = _shannon(code, vals, repeated[1:])
+    vals[atom] = p
     return p * hi + (1.0 - p) * lo
 
 
-def _eval_pinned(
-    lam: Lineage, probs: ProbAssignment, pinned: dict[str, float]
-) -> float:
-    # Exact when every repeated atom is pinned: the remaining free atoms
-    # occur once each, so subformulas are independent.
-    if isinstance(lam, Atom):
-        v = pinned.get(lam.id)
-        return probs[lam.id] if v is None else v
-    if isinstance(lam, Not):
-        return 1.0 - _eval_pinned(lam.child, probs, pinned)
-    if isinstance(lam, And):
-        return _eval_pinned(lam.left, probs, pinned) * _eval_pinned(
-            lam.right, probs, pinned
-        )
-    return 1.0 - (1.0 - _eval_pinned(lam.left, probs, pinned)) * (
-        1.0 - _eval_pinned(lam.right, probs, pinned)
-    )
+def or_prob(p, q):
+    """P(l1 or l2) of independent l1, l2. Unlike 1 - (1-p)(1-q), it
+    never rounds a positive result to 0."""
+    return p + q * (1.0 - p)
+
+
+def _eval_pinned(code: list, vals: dict[str, float]) -> float:
+    # Exact when every repeated atom is pinned to 0 or 1 in vals: the
+    # remaining free atoms occur once each, so subformulas are
+    # independent.
+    out: list[float] = []
+    for op in code:
+        if op is And:
+            q = out.pop()
+            out[-1] *= q
+        elif op is Or:
+            q = out.pop()
+            out[-1] = or_prob(out[-1], q)
+        elif op is Not:
+            out[-1] = 1.0 - out[-1]
+        else:
+            out.append(vals[op])
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +406,6 @@ class _Parser:
             self._fail("unexpected trailing input")
 
 
-# precedence levels for the printer; higher binds tighter
-_PREC_OR = 1
-_PREC_AND = 2
-
-
 def print_lineage(lam: Lineage) -> str:
     """Render with minimal parentheses.
 
@@ -396,23 +413,26 @@ def print_lineage(lam: Lineage) -> str:
     right child, so left-nested chains print flat and the original tree
     shape survives a parse round trip.
     """
-    return _print(lam, 0, False)
-
-
-def _print(lam: Lineage, parent_prec: int, right_of_same: bool) -> str:
-    if isinstance(lam, Atom):
-        return lam.id
-    if isinstance(lam, Not):
-        if isinstance(lam.child, Atom):
-            return "!" + lam.child.id
-        return "!(" + _print(lam.child, 0, False) + ")"
-    if isinstance(lam, And):
-        prec = _PREC_AND
-        sep = " & "
-    else:
-        prec = _PREC_OR
-        sep = " | "
-    s = _print(lam.left, prec, False) + sep + _print(lam.right, prec, True)
-    if parent_prec > prec or (parent_prec == prec and right_of_same):
-        return "(" + s + ")"
-    return s
+    # Preorder over an explicit stack of nodes and literal text.
+    out: list[str] = []
+    stack: list = [lam]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            out.append(node)
+        elif type(node) is Atom:
+            out.append(node.id)
+        elif type(node) is Not:
+            if type(node.child) is Atom:
+                out.append("!" + node.child.id)
+            else:
+                stack += (")", node.child, "!(")
+        else:
+            op = type(node)
+            # & binds tighter than |, and chains nest to the left
+            wrap_left = op is And and type(node.left) is Or
+            wrap_right = type(node.right) is Or or type(node.right) is op
+            stack += (")", node.right, "(") if wrap_right else (node.right,)
+            stack.append(" & " if op is And else " | ")
+            stack += (")", node.left, "(") if wrap_left else (node.left,)
+    return "".join(out)

@@ -12,13 +12,14 @@ validate_duplicate_free and enforced at the entry points that rely on it.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .lineage import Atom, Lineage, LineageError, ProbAssignment
+from .lineage import Atom, Lineage, LineageError, ProbAssignment, base_atoms
 
 __all__ = [
     "Fact",
@@ -26,7 +27,9 @@ __all__ = [
     "TpTuple",
     "TpRelation",
     "Window",
+    "AtomTable",
     "RelationError",
+    "AtomConflictError",
     "DuplicateFreeError",
     "validate_duplicate_free",
     "sort_relation",
@@ -39,6 +42,16 @@ Fact = tuple[str, ...]
 
 class RelationError(ValueError):
     """Malformed relation or misuse of an operation's precondition."""
+
+
+class AtomConflictError(RelationError):
+    """Row `row` gives its bare atom a second, different probability."""
+
+    def __init__(self, row: int, atom: str, prev: float, p: float):
+        super().__init__(
+            f"atom {atom} already defined with probability {prev}, got {p}"
+        )
+        self.row = row
 
 
 class DuplicateFreeError(RelationError):
@@ -125,9 +138,6 @@ class LineageColumn:
     def take(self, idx: np.ndarray) -> "LineageColumn":
         raise NotImplementedError
 
-    def atom_space(self) -> "AtomSpace":
-        raise NotImplementedError
-
     def rows_distinct_hint(self) -> bool:
         """True only when distinct rows are guaranteed to carry pairwise
         non-equivalent formulas. False means unknown."""
@@ -139,7 +149,7 @@ class ObjectLineageColumn(LineageColumn):
 
     def __init__(self, formulas: Sequence[Lineage]):
         self._arr = list(formulas)
-        self._space: Optional[AtomSpace] = None
+        self._distinct: Optional[bool] = None
 
     def __len__(self) -> int:
         return len(self._arr)
@@ -150,15 +160,12 @@ class ObjectLineageColumn(LineageColumn):
     def take(self, idx: np.ndarray) -> "ObjectLineageColumn":
         return ObjectLineageColumn([self._arr[int(i)] for i in idx])
 
-    def atom_space(self) -> "AtomSpace":
-        if self._space is None:
-            from .lineage import base_atoms
-
-            ids: set[str] = set()
-            for lam in self._arr:
-                ids |= base_atoms(lam)
-            self._space = AtomSpace.from_set(frozenset(ids))
-        return self._space
+    def rows_distinct_hint(self) -> bool:
+        # bare atoms with no id repeated: rows are pairwise non-equivalent
+        if self._distinct is None:
+            ids = {lam.id for lam in self._arr if type(lam) is Atom}
+            self._distinct = len(ids) == len(self._arr)
+        return self._distinct
 
 
 class PrefixAtomColumn(LineageColumn):
@@ -181,9 +188,6 @@ class PrefixAtomColumn(LineageColumn):
     def take(self, idx: np.ndarray) -> "LineageColumn":
         return _GatherColumn(self, np.asarray(idx, dtype=np.int64))
 
-    def atom_space(self) -> "AtomSpace":
-        return AtomSpace.from_prefix(self.prefix)
-
     def rows_distinct_hint(self) -> bool:
         return True
 
@@ -203,9 +207,6 @@ class _GatherColumn(LineageColumn):
 
     def take(self, idx: np.ndarray) -> "LineageColumn":
         return _GatherColumn(self._base, self._idx[np.asarray(idx, dtype=np.int64)])
-
-    def atom_space(self) -> "AtomSpace":
-        return self._base.atom_space()
 
     def rows_distinct_hint(self) -> bool:
         # engine-internal takes use injective index arrays (sort
@@ -251,138 +252,136 @@ class OpLineageColumn(LineageColumn):
             self.concat, self._left, self._right, self._li[idx], self._ri[idx]
         )
 
-    def atom_space(self) -> "AtomSpace":
-        return self._left.atom_space().union(self._right.atom_space())
-
-
-class AtomSpace:
-    """Conservative description of the atom ids a column can mention.
-    Supports only the question that matters downstream: are two spaces
-    provably disjoint? Anything unprovable answers False."""
-
-    __slots__ = ("_sets", "_prefixes")
-
-    def __init__(self, sets: frozenset[str], prefixes: frozenset[str]):
-        self._sets = sets
-        self._prefixes = prefixes
-
-    @staticmethod
-    def from_set(ids: frozenset[str]) -> "AtomSpace":
-        return AtomSpace(ids, frozenset())
-
-    @staticmethod
-    def from_prefix(prefix: str) -> "AtomSpace":
-        return AtomSpace(frozenset(), frozenset([prefix]))
-
-    def union(self, other: "AtomSpace") -> "AtomSpace":
-        return AtomSpace(
-            self._sets | other._sets, self._prefixes | other._prefixes
-        )
-
-    def provably_disjoint(self, other: "AtomSpace") -> bool:
-        if self._sets & other._sets:
-            return False
-        for a, b in (
-            (self._prefixes, other._prefixes),
-            (other._prefixes, self._prefixes),
-        ):
-            for pa in a:
-                for pb in b:
-                    # prefix+ordinal ids can collide whenever one prefix
-                    # extends the other by digits
-                    if pa.startswith(pb) or pb.startswith(pa):
-                        return False
-        for ids, prefixes in (
-            (self._sets, other._prefixes),
-            (other._sets, self._prefixes),
-        ):
-            for atom in ids:
-                for prefix in prefixes:
-                    if atom.startswith(prefix):
-                        return False
-        return True
-
 
 # ---------------------------------------------------------------------------
-# probability environments
+# atom table
+#
+# The engine asks two questions of its operands' atoms: may the two
+# sides share an atom, and what is each atom's probability. One table
+# per relation answers both.
 # ---------------------------------------------------------------------------
 
 
-class PrefixProbEnv(Mapping):
-    """Probability lookup for a generated relation: atom '<prefix>k'
-    maps to p[k-1] without ever building a dict of millions of keys."""
+_ORDINAL = re.compile("[1-9][0-9]*")
 
-    def __init__(self, prefix: str, p: np.ndarray):
-        self._prefix = prefix
-        self._p = p
 
-    def _ordinal(self, key: str) -> Optional[int]:
-        if not key.startswith(self._prefix):
-            return None
-        suffix = key[len(self._prefix) :]
-        if not suffix.isdigit():
-            return None
-        k = int(suffix)
-        if not 1 <= k <= len(self._p):
-            return None
-        return k - 1
+class AtomTable(Mapping):
+    """The atoms a relation's lineage may mention, as an immutable
+    mapping from atom id to probability.
+
+    Explicit atoms live in one dict; an atom mapped to None there is
+    mentioned without a known probability, so it reads as absent (and
+    probability() raises MissingAtomError for it) but still counts for
+    disjoint(). A block (prefix, p) stands for the generator's atoms
+    '<prefix>k' with probability p[k-1], k = 1..len(p), without ever
+    spelling them out.
+
+    Two sources giving one atom different probabilities is a modelling
+    error: merge raises LineageError for explicit atoms, and a lookup
+    raises it for an atom that a block also covers.
+    """
+
+    __slots__ = ("_atoms", "_blocks")
+
+    def __init__(
+        self,
+        atoms: Optional[Mapping[str, Optional[float]]] = None,
+        blocks: Iterable[tuple[str, np.ndarray]] = (),
+    ):
+        self._atoms: dict[str, Optional[float]] = dict(atoms or {})
+        self._blocks = tuple(blocks)
+
+    @staticmethod
+    def from_rows(
+        rows: Iterable[tuple[Lineage, float]],
+        known: Optional[Mapping[str, float]] = None,
+    ) -> "AtomTable":
+        """The table of (lineage, probability) rows on top of the known
+        atom probabilities. A row whose lineage is a bare atom defines
+        that atom's probability; every other atom is mentioned. Raises
+        AtomConflictError, which names the row, when a bare atom row
+        contradicts an earlier row or a known value."""
+        base = known if isinstance(known, AtomTable) else AtomTable(known)
+        atoms = dict(base._atoms)
+        for i, (lam, p) in enumerate(rows):
+            if type(lam) is Atom:
+                prev = atoms.get(lam.id)
+                if prev is None:
+                    atoms[lam.id] = p
+                elif prev != p:
+                    raise AtomConflictError(i, lam.id, prev, p)
+            else:
+                for a in base_atoms(lam):
+                    atoms.setdefault(a, None)
+        return AtomTable(atoms, base._blocks)
 
     def __getitem__(self, key: str) -> float:
-        i = self._ordinal(key)
-        if i is None:
+        p = self._atoms.get(key)
+        for prefix, block in self._blocks:
+            digits = key[len(prefix) :]
+            if (
+                key.startswith(prefix)
+                and _ORDINAL.fullmatch(digits)
+                and int(digits) <= len(block)
+            ):
+                q = float(block[int(digits) - 1])
+                if p is not None and p != q:
+                    raise LineageError(
+                        f"atom {key} has conflicting probabilities {p} and {q}"
+                    )
+                p = q
+        if p is None:
             raise KeyError(key)
-        return float(self._p[i])
-
-    def __contains__(self, key) -> bool:
-        return isinstance(key, str) and self._ordinal(key) is not None
+        return p
 
     def __iter__(self) -> Iterator[str]:
-        for k in range(len(self._p)):
-            yield f"{self._prefix}{k + 1}"
-
-    def __len__(self) -> int:
-        return len(self._p)
-
-
-class MergedProbEnv(Mapping):
-    """Union of two environments. A key present in both with different
-    values is a modelling error and fails loudly on lookup."""
-
-    def __init__(self, first: Mapping, second: Mapping):
-        self._first = first
-        self._second = second
-
-    def __getitem__(self, key: str) -> float:
-        in1 = key in self._first
-        in2 = key in self._second
-        if in1 and in2:
-            v1 = self._first[key]
-            v2 = self._second[key]
-            if v1 != v2:
-                raise LineageError(
-                    f"atom {key} has conflicting probabilities {v1} and {v2}"
-                )
-            return v1
-        if in1:
-            return self._first[key]
-        if in2:
-            return self._second[key]
-        raise KeyError(key)
-
-    def __contains__(self, key) -> bool:
-        return key in self._first or key in self._second
-
-    def __iter__(self) -> Iterator[str]:
-        seen = set()
-        for k in self._first:
-            seen.add(k)
-            yield k
-        for k in self._second:
-            if k not in seen:
-                yield k
+        keys = [key for key, p in self._atoms.items() if p is not None]
+        for prefix, block in self._blocks:
+            keys += (f"{prefix}{k}" for k in range(1, len(block) + 1))
+        return iter(dict.fromkeys(keys))  # each key once
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
+
+    def disjoint(self, other: "AtomTable") -> bool:
+        """True only when no atom can be mentioned by both tables.
+
+        A block covers every id that starts with its prefix, because
+        prefix+ordinal ids collide whenever one prefix extends the
+        other by digits ('t' and 't1'); a letter between seed and
+        ordinal ('g1a', 'g12a') keeps generated prefixes apart."""
+        if not self._atoms.keys().isdisjoint(other._atoms.keys()):
+            return False
+        for ids, blocks in ((self._atoms, other._blocks), (other._atoms, self._blocks)):
+            for prefix, _ in blocks:
+                if any(a.startswith(prefix) for a in ids):
+                    return False
+        return not any(
+            pa.startswith(pb) or pb.startswith(pa)
+            for pa, _ in self._blocks
+            for pb, _ in other._blocks
+        )
+
+    def merge(self, other: "AtomTable") -> "AtomTable":
+        """The table of both sides' atoms. Raises LineageError when the
+        two give an explicit atom different probabilities."""
+        if other is self:
+            return self
+        atoms = {**self._atoms, **other._atoms}
+        for key in self._atoms.keys() & other._atoms.keys():
+            mine, theirs = self._atoms[key], other._atoms[key]
+            if mine is None or theirs is None:
+                atoms[key] = theirs if mine is None else mine
+            elif mine != theirs:
+                raise LineageError(
+                    f"atom {key} has conflicting probabilities {mine} and {theirs}"
+                )
+        blocks = self._blocks + tuple(
+            b
+            for b in other._blocks
+            if not any(b[0] == a[0] and b[1] is a[1] for a in self._blocks)
+        )
+        return AtomTable(atoms, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +416,12 @@ class TpRelation:
         te: np.ndarray,
         p: np.ndarray,
         lineage: LineageColumn,
-        atom_probs: Mapping,
+        atom_probs: ProbAssignment,
         is_sorted: Optional[bool] = None,
     ):
+        """An AtomTable atom_probs must cover every atom of the lineage
+        column; any other mapping is folded into the rows' table, as in
+        from_tuples."""
         if any(
             fact_table[i] >= fact_table[i + 1] for i in range(len(fact_table) - 1)
         ):
@@ -430,10 +432,13 @@ class TpRelation:
         self._te = np.asarray(te, dtype=np.int64)
         self._p = np.asarray(p, dtype=np.float64)
         self._lineage = lineage
-        self._atom_probs = atom_probs
         n = len(self._codes)
         if not (len(self._ts) == len(self._te) == len(self._p) == len(lineage) == n):
             raise RelationError("column lengths differ")
+        if not isinstance(atom_probs, AtomTable):
+            rows = zip(map(lineage.get, range(n)), self._p.tolist())
+            atom_probs = AtomTable.from_rows(rows, atom_probs)
+        self._atom_probs = atom_probs
         if is_sorted is None:
             is_sorted = bool(
                 np.all(
@@ -454,9 +459,10 @@ class TpRelation:
     ) -> "TpRelation":
         """Build a relation from row objects.
 
-        The probability environment is the given atom_probs plus an
-        entry for every row whose lineage is a bare atom. A bare atom
-        appearing twice with different probabilities is rejected.
+        Its atom table is the given atom_probs plus an entry for every
+        row whose lineage is a bare atom, and every atom the other rows
+        mention. A bare atom appearing twice with different
+        probabilities is rejected (AtomConflictError).
         """
         rows = list(rows)
         arities = {len(t.fact) for t in rows}
@@ -470,17 +476,6 @@ class TpRelation:
         ts = np.fromiter((t.interval.ts for t in rows), dtype=np.int64, count=len(rows))
         te = np.fromiter((t.interval.te for t in rows), dtype=np.int64, count=len(rows))
         p = np.fromiter((t.p for t in rows), dtype=np.float64, count=len(rows))
-        env: dict[str, float] = dict(atom_probs) if atom_probs else {}
-        for t in rows:
-            if isinstance(t.lineage, Atom):
-                prev = env.get(t.lineage.id)
-                if prev is None:
-                    env[t.lineage.id] = t.p
-                elif prev != t.p:
-                    raise RelationError(
-                        f"atom {t.lineage.id} appears with probabilities "
-                        f"{prev} and {t.p}"
-                    )
         rel = TpRelation(
             fact_table,
             codes,
@@ -488,7 +483,7 @@ class TpRelation:
             te,
             p,
             ObjectLineageColumn([t.lineage for t in rows]),
-            env,
+            AtomTable.from_rows(((t.lineage, t.p) for t in rows), atom_probs),
         )
         if validate:
             bad = validate_duplicate_free(rel)
@@ -523,7 +518,7 @@ class TpRelation:
         return self._lineage
 
     @property
-    def atom_probs(self) -> Mapping:
+    def atom_probs(self) -> "AtomTable":
         return self._atom_probs
 
     @property

@@ -26,7 +26,7 @@ from .model import (
     TpRelation,
     TpTuple,
 )
-from .setops import SetOpKind, _check_operands, _merge_envs
+from .setops import SetOpKind, _check_operands
 
 __all__ = [
     "SPAN_LIMIT",
@@ -95,7 +95,7 @@ def oracle_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
     runs with an unchanged covering pair share a lineage, and adjacent
     runs whose lineages are equivalent merge, mirroring the definition
     of coalesced output. Probabilities are evaluated per output row
-    against the merged atom environment.
+    against the merged atom table.
     """
     r, s = _check_operands(r, s)
     by_fact_r = _rows_by_fact(r)
@@ -116,7 +116,8 @@ def oracle_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
             f"limit of {SPAN_LIMIT}"
         )
 
-    env = _merge_envs(dict(r.atom_probs), dict(s.atom_probs))
+    # spelled out, so that a conflict on any atom raises here
+    env = dict(r.atom_probs.merge(s.atom_probs))
     out: list[TpTuple] = []
     for fact in facts:
         lo, hi = spans[fact]

@@ -7,19 +7,19 @@ concatenation and its independent-probability formula:
 
   kind          filter    concat          independent p
   intersection  r and s   l1 and l2       p1 p2
-  union         r or s    l1 or l2        1 - (1-p1)(1-p2)
+  union         r or s    l1 or l2        p1 + p2 (1-p1)
   difference    r         l1 and not l2   p1 (1-p2)
 
 A lone side's lineage and probability pass through unchanged. The
 engine, the snapshot oracle and the lazy OpLineageColumn all read the
 same row.
 
-Output probabilities are exact. When the two inputs provably share no
-atom ids, the independent formula works directly on the operand tuple
-probabilities, which is what makes the million-tuple benchmarks
-feasible; otherwise each output formula is evaluated against the merged
-probability environment, which handles deliberately repeated atoms at
-exponential cost in the number of repeats.
+Output probabilities are exact. When the operands' atom tables
+(model.AtomTable) provably share no atom, the independent formula works
+directly on the operand tuple probabilities, which is what makes the
+million-tuple benchmarks feasible; otherwise each output formula is
+evaluated against the merged atom table, which handles deliberately
+repeated atoms at exponential cost in the number of repeats.
 
 Outputs are snapshot-correct: adjacent output tuples of one fact whose
 lineages are syntactically equivalent get merged, because per-snapshot
@@ -34,16 +34,15 @@ import enum
 import numpy as np
 
 from .lineage import (
-    LineageError,
     and_fn,
     and_not_fn,
     or_fn,
+    or_prob,
     probability,
     syntactic_equiv,
 )
 from .model import (
     LineageColumn,
-    MergedProbEnv,
     OpLineageColumn,
     RelationError,
     DuplicateFreeError,
@@ -63,15 +62,13 @@ __all__ = [
 
 
 # independent_prob formulas. A lone side passes its probability through
-# by np.where instead of being folded in as p=0: 1-(1-p) is not bit-equal
-# to p, and underflows to 0 for tiny p.
+# by np.where instead of being folded in as p=0, so it stays bit-equal.
+# Both sides present use the evaluator's own disjunction formula.
 
 
 def _or_prob(pr, ps, r_present, s_present):
     return np.where(
-        r_present & s_present,
-        1.0 - (1.0 - pr) * (1.0 - ps),
-        np.where(r_present, pr, ps),
+        r_present & s_present, or_prob(pr, ps), np.where(r_present, pr, ps)
     )
 
 
@@ -126,8 +123,8 @@ def _gather(p: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def apply_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
     """Evaluate one set operation. Operands may arrive unsorted; the
-    result is sorted, duplicate-free and carries the merged probability
-    environment of its operands."""
+    result is sorted, duplicate-free and carries the merged atom table
+    of its operands."""
     r, s = _check_operands(r, s)
     wt = window_table(r, s)
 
@@ -140,11 +137,8 @@ def apply_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
     col: LineageColumn = OpLineageColumn(
         kind.concat, r.lineage_column, s.lineage_column, ri, si
     )
-    env = _merge_envs(r.atom_probs, s.atom_probs)
-
-    disjoint = r.lineage_column.atom_space().provably_disjoint(
-        s.lineage_column.atom_space()
-    )
+    env = r.atom_probs.merge(s.atom_probs)
+    disjoint = r.atom_probs.disjoint(s.atom_probs)
     if disjoint:
         p = kind.independent_prob(
             _gather(r.p_array, ri), _gather(s.p_array, si), ri >= 0, si >= 0
@@ -195,19 +189,6 @@ def union(r: TpRelation, s: TpRelation) -> TpRelation:
 def except_(r: TpRelation, s: TpRelation) -> TpRelation:
     """Temporal-probabilistic difference r minus s."""
     return apply_setop(SetOpKind.DIFFERENCE, r, s)
-
-
-def _merge_envs(e1, e2):
-    if isinstance(e1, dict) and isinstance(e2, dict):
-        out = dict(e1)
-        for k, v in e2.items():
-            if k in out and out[k] != v:
-                raise LineageError(
-                    f"atom {k} has conflicting probabilities {out[k]} and {v}"
-                )
-            out[k] = v
-        return out
-    return MergedProbEnv(e1, e2)
 
 
 def _coalesce(codes, ts, te, p, col: LineageColumn):

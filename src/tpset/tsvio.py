@@ -17,10 +17,12 @@ a write/read cycle exactly, and re-serializing a relation that was read
 from text reproduces the bytes. Writing can omit the lambda or p
 column for human consumption; reading accepts only the full format.
 
-Every probability environment entry a file can carry comes from its
-bare-atom rows: a row whose lambda is a single atom defines that atom's
-probability. The same atom twice with the same probability is fine
-(deliberate repetition); with different probabilities it is an error.
+Every atom probability a file can carry comes from its bare-atom rows:
+a row whose lambda is a single atom defines that atom's probability.
+The same atom twice with the same probability is fine (deliberate
+repetition); with different probabilities it is an error. Atoms that
+only occur inside compound lambdas are in the relation's atom table
+without a probability.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ import io
 import os
 from typing import Optional, TextIO, Union
 
-from .lineage import (
-    Atom,
-    LineageSyntaxError,
-    parse_lineage,
-    print_lineage,
+from .lineage import LineageSyntaxError, parse_lineage, print_lineage
+from .model import (
+    AtomConflictError,
+    AtomTable,
+    Interval,
+    PrefixAtomColumn,
+    TpRelation,
+    TpTuple,
 )
-from .model import Interval, PrefixAtomColumn, TpRelation, TpTuple
 
 __all__ = ["TsvFormatError", "read_relation", "write_relation", "dump_relation"]
 
@@ -50,19 +54,18 @@ class TsvFormatError(ValueError):
 Source = Union[str, os.PathLike, TextIO]
 
 
-def read_relation(source: Source) -> tuple[TpRelation, dict[str, float]]:
-    """Parse a relation and its probability environment from a path or
-    an open text stream."""
+def read_relation(source: Source) -> tuple[TpRelation, AtomTable]:
+    """Parse a relation and its atom table from a path or an open text
+    stream."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fp:
             return _read(fp)
     return _read(source)
 
 
-def _read(fp: TextIO) -> tuple[TpRelation, dict[str, float]]:
+def _read(fp: TextIO) -> tuple[TpRelation, AtomTable]:
     arity: Optional[int] = None
     rows: list[TpTuple] = []
-    env: dict[str, float] = {}
     for lineno, raw in enumerate(fp, 1):
         line = raw.rstrip("\n")
         if line.endswith("\r"):
@@ -109,20 +112,16 @@ def _read(fp: TextIO) -> tuple[TpRelation, dict[str, float]]:
             raise TsvFormatError(
                 f"line {lineno}: probability {parts[arity + 3]} outside (0, 1]"
             )
-        if isinstance(lam, Atom):
-            prev = env.get(lam.id)
-            if prev is not None and prev != p:
-                raise TsvFormatError(
-                    f"line {lineno}: atom {lam.id} already defined with "
-                    f"probability {prev}, got {p}"
-                )
-            env[lam.id] = p
         rows.append(TpTuple(fact, lam, Interval(ts, te), p))
     if arity is None:
         raise TsvFormatError("line 1: missing header")
-    # raises DuplicateFreeError on overlapping same-fact intervals
-    rel = TpRelation.from_tuples(rows, atom_probs=env)
-    return rel, env
+    try:
+        # raises DuplicateFreeError on overlapping same-fact intervals
+        rel = TpRelation.from_tuples(rows)
+    except AtomConflictError as e:
+        # row i is on line i + 2, after the header
+        raise TsvFormatError(f"line {e.row + 2}: {e}") from None
+    return rel, rel.atom_probs
 
 
 def _parse_header(line: str, lineno: int) -> int:

@@ -305,6 +305,19 @@ class TestValidate:
         assert rc == 1
         assert "line 2: lambda nested too deeply" in err
 
+    def test_deep_or_chain_writes_and_reads_back(self, capsys, tmp_path):
+        chain = " | ".join(f"x{i}" for i in range(3000))
+        deep = tmp_path / "deep.tsv"
+        deep.write_text(f"#fact:1\tlambda\tts\tte\tp\nmilk\t{chain}\t0\t5\t0.5\n")
+        one = tmp_path / "one.tsv"
+        one.write_text(write_relation(rel([("milk", "y", 0, 5, 0.5)])))
+        rc, out, err = run(capsys, ["op", "union", str(deep), str(one)])
+        assert (rc, err) == (0, "")
+        got, _ = read_relation(io.StringIO(out))
+        assert len(got) == 1
+        assert print_lineage(got[0].lineage) == chain + " | y"
+        assert got[0].p == 0.75
+
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "garbled.tsv"
         bad.write_text("#fact:1\tlambda\tts\tte\tp\nmilk\tx\tzero\t1\t0.5\n")

@@ -166,6 +166,15 @@ class TestEquiv:
     def test_equiv_reflexive(self, lam):
         assert syntactic_equiv(lam, lam)
 
+    def test_deep_alternating_chain_is_equiv_to_itself(self):
+        # 3000 levels alternating & and |, built twice as separate objects
+        assert syntactic_equiv(alternating_chain(3000), alternating_chain(3000))
+        assert not syntactic_equiv(
+            alternating_chain(3000), alternating_chain(2999)
+        )
+        canon = canonicalize(alternating_chain(3000))
+        assert syntactic_equiv(canon, alternating_chain(3000))
+
     @given(formulas(max_leaves=8))
     def test_equiv_never_exceeds_truth(self, lam):
         # equivalence must imply equal probability in every environment
@@ -175,6 +184,22 @@ class TestEquiv:
         assert abs(
             enum_probability(lam, env) - enum_probability(mirrored, env)
         ) < 1e-12
+
+
+def or_chain(n: int):
+    """Left-nested x0 | x1 | ... | x(n-1)."""
+    lam = Atom("x0")
+    for i in range(1, n):
+        lam = Or(lam, Atom(f"x{i}"))
+    return lam
+
+
+def alternating_chain(n: int):
+    """n levels deep, each level's operator the other one of its child."""
+    lam = Atom("x0")
+    for i in range(1, n + 1):
+        lam = (And if i % 2 else Or)(lam, Atom(f"x{i}"))
+    return lam
 
 
 def _mirror(lam):
@@ -229,6 +254,15 @@ class TestProbability:
             lam = pair if lam is None else And(lam, pair)
         env = {f"r{i}": 0.5 for i in range(k)}
         assert probability(lam, env) == pytest.approx(0.5**k, rel=1e-9)
+
+    def test_deep_or_chain(self):
+        p = 0.001
+        env = {f"x{i}": p for i in range(3000)}
+        assert abs(probability(or_chain(3000), env) - (1 - (1 - p) ** 3000)) < 1e-9
+
+    def test_disjunction_of_tiny_probabilities_stays_positive(self):
+        # 1 - (1-p)(1-q) rounds to 0.0 for p = q = 1e-200
+        assert probability(Or(a1, b1), {"a1": 1e-200, "b1": 1e-200}) == 2e-200
 
     @given(formulas(max_leaves=10))
     @settings(max_examples=150)
@@ -312,6 +346,10 @@ class TestGrammar:
     @given(formulas())
     def test_round_trip_preserves_structure(self, lam):
         assert parse_lineage(print_lineage(lam)) == lam
+
+    def test_print_deep_or_chain(self):
+        text = " | ".join(f"x{i}" for i in range(3000))
+        assert print_lineage(or_chain(3000)) == text
 
     def test_golden_string_round_trip(self):
         text = "c2 & !(a1 | b1)"

@@ -24,12 +24,10 @@ from tpset import (
     validate_duplicate_free,
 )
 from tpset.model import (
-    AtomSpace,
-    MergedProbEnv,
+    AtomTable,
     ObjectLineageColumn,
     OpLineageColumn,
     PrefixAtomColumn,
-    PrefixProbEnv,
 )
 
 
@@ -223,6 +221,11 @@ class TestLineageColumns:
         assert col.get(1) == And(Atom("x"), Atom("y"))
         assert not col.rows_distinct_hint()
 
+    def test_object_column_of_distinct_bare_atoms(self):
+        assert ObjectLineageColumn([Atom("x"), Atom("y")]).rows_distinct_hint()
+        col = ObjectLineageColumn([Atom("x"), Atom("y"), Atom("x")])
+        assert not col.rows_distinct_hint()
+
     @pytest.mark.parametrize(
         "concat,li,ri,expected",
         [
@@ -250,68 +253,103 @@ class TestLineageColumns:
         assert col.get(0) is lam
 
 
-class TestAtomSpace:
+def block(prefix: str, p=(0.5,)) -> AtomTable:
+    return AtomTable(blocks=[(prefix, np.array(p))])
+
+
+class TestAtomTableDisjoint:
     def test_sets(self):
-        s1 = AtomSpace.from_set(frozenset({"a1", "a2"}))
-        s2 = AtomSpace.from_set(frozenset({"b1"}))
-        s3 = AtomSpace.from_set(frozenset({"a2", "c1"}))
-        assert s1.provably_disjoint(s2)
-        assert not s1.provably_disjoint(s3)
+        t1 = AtomTable({"a1": 0.1, "a2": 0.2})
+        t2 = AtomTable({"b1": 0.3})
+        t3 = AtomTable({"a2": 0.2, "c1": 0.4})
+        assert t1.disjoint(t2)
+        assert not t1.disjoint(t3)
 
     def test_prefixes(self):
-        pa = AtomSpace.from_prefix("a")
-        pb = AtomSpace.from_prefix("b")
-        pt = AtomSpace.from_prefix("t")
-        pt1 = AtomSpace.from_prefix("t1")
-        assert pa.provably_disjoint(pb)
+        assert block("a").disjoint(block("b"))
         # t1.. ids are a subset of t.. ids: not provable
-        assert not pt.provably_disjoint(pt1)
-        assert not pt.provably_disjoint(pt)
+        assert not block("t").disjoint(block("t1"))
+        assert not block("t1").disjoint(block("t"))
+        assert not block("t").disjoint(block("t"))
 
     def test_seed_derived_prefixes_do_not_nest(self):
         # g1a vs g12a: the letter between seed and ordinal blocks nesting
-        assert AtomSpace.from_prefix("g1a").provably_disjoint(
-            AtomSpace.from_prefix("g12a")
-        )
+        assert block("g1a").disjoint(block("g12a"))
 
-    def test_set_vs_prefix(self):
-        ids = AtomSpace.from_set(frozenset({"b1", "c1"}))
-        assert not ids.provably_disjoint(AtomSpace.from_prefix("b"))
-        assert ids.provably_disjoint(AtomSpace.from_prefix("a"))
+    def test_ids_vs_prefix(self):
+        ids = AtomTable({"b1": 0.1, "c1": 0.2})
+        assert not ids.disjoint(block("b"))
+        assert not block("b").disjoint(ids)
+        assert ids.disjoint(block("a"))
 
-    def test_union(self):
-        u = AtomSpace.from_set(frozenset({"a1"})).union(
-            AtomSpace.from_prefix("b")
-        )
-        assert not u.provably_disjoint(AtomSpace.from_prefix("b"))
-        assert not u.provably_disjoint(AtomSpace.from_set(frozenset({"a1"})))
-        assert u.provably_disjoint(AtomSpace.from_set(frozenset({"c9"})))
+    def test_merge_then_disjoint(self):
+        u = AtomTable({"a1": 0.1}).merge(block("b"))
+        assert not u.disjoint(block("b"))
+        assert not u.disjoint(AtomTable({"a1": 0.1}))
+        assert u.disjoint(AtomTable({"c9": 0.1}))
+
+    def test_mentioned_atom_without_probability(self):
+        t = AtomTable({"u1": None, "x": 0.5})
+        assert "u1" not in t
+        with pytest.raises(KeyError):
+            t["u1"]
+        assert dict(t) == {"x": 0.5}
+        assert len(t) == 1
+        assert not t.disjoint(AtomTable({"u1": 0.3}))
+        assert not AtomTable({"u1": None}).disjoint(AtomTable({"u1": None}))
+        # merging supplies the missing probability from the other side
+        assert t.merge(AtomTable({"u1": 0.3}))["u1"] == 0.3
+        assert AtomTable({"u1": 0.3}).merge(t)["u1"] == 0.3
 
 
-class TestProbEnvs:
-    def test_prefix_env(self):
-        env = PrefixProbEnv("t", np.array([0.25, 0.5]))
-        assert env["t1"] == 0.25
-        assert env["t2"] == 0.5
-        assert "t3" not in env
-        assert "t0" not in env
-        assert "tx" not in env
-        assert "s1" not in env
-        assert dict(env) == {"t1": 0.25, "t2": 0.5}
+class TestAtomTableLookups:
+    def test_block(self):
+        t = block("t", [0.25, 0.5])
+        assert t["t1"] == 0.25
+        assert t["t2"] == 0.5
+        for miss in ("t3", "t0", "t01", "tx", "t", "s1"):
+            assert miss not in t
+        assert dict(t) == {"t1": 0.25, "t2": 0.5}
 
-    def test_merged_env(self):
-        env = MergedProbEnv({"a": 0.1}, {"b": 0.2})
-        assert env["a"] == 0.1
-        assert env["b"] == 0.2
-        assert "c" not in env
-        assert sorted(env) == ["a", "b"]
-        assert len(env) == 2
+    def test_merged(self):
+        t = AtomTable({"a": 0.1}).merge(AtomTable({"b": 0.2}))
+        assert t["a"] == 0.1
+        assert t["b"] == 0.2
+        assert "c" not in t
+        assert sorted(t) == ["a", "b"]
+        assert len(t) == 2
 
-    def test_merged_env_conflict_fails_on_lookup(self):
-        env = MergedProbEnv({"a": 0.1}, {"a": 0.2})
+    def test_merged_block_and_ids(self):
+        t = block("t", [0.25, 0.5]).merge(AtomTable({"a": 0.1, "t2": 0.5}))
+        assert dict(t) == {"a": 0.1, "t1": 0.25, "t2": 0.5}
+        assert len(t) == 3
+
+    def test_conflicting_explicit_probability_raises_at_merge(self):
         with pytest.raises(LineageError):
-            env["a"]
+            AtomTable({"a": 0.1}).merge(AtomTable({"a": 0.2}))
 
-    def test_merged_env_agreeing_duplicate(self):
-        env = MergedProbEnv({"a": 0.1}, {"a": 0.1})
-        assert env["a"] == 0.1
+    def test_conflict_with_a_block_raises_on_lookup(self):
+        t = block("t", [0.25]).merge(AtomTable({"t1": 0.3}))
+        with pytest.raises(LineageError):
+            t["t1"]
+
+    def test_agreeing_duplicate(self):
+        t = AtomTable({"a": 0.1}).merge(AtomTable({"a": 0.1}))
+        assert t["a"] == 0.1
+        assert block("t", [0.25]).merge(AtomTable({"t1": 0.25}))["t1"] == 0.25
+
+    def test_relation_table_mentions_compound_atoms(self):
+        r = TpRelation.from_tuples(
+            [TpTuple(("f",), And(Atom("x"), Atom("y")), Interval(0, 1), 0.3)]
+        )
+        assert dict(r.atom_probs) == {}
+        assert not r.atom_probs.disjoint(AtomTable({"y": 0.5}))
+
+    def test_constructor_folds_a_plain_mapping_into_the_table(self):
+        col = ObjectLineageColumn([Atom("x"), And(Atom("y"), Atom("z"))])
+        r = TpRelation(
+            (("f",),), [0, 0], [0, 1], [1, 2], [0.4, 0.3], col, {"z": 0.9}
+        )
+        assert isinstance(r.atom_probs, AtomTable)
+        assert dict(r.atom_probs) == {"x": 0.4, "z": 0.9}
+        assert not r.atom_probs.disjoint(AtomTable({"y": None}))

@@ -373,6 +373,14 @@ class TestOperatorTable:
         assert got.tolist() == [probability(lam, {"x": pr, "y": ps})]
 
 
+class TestUnderflow:
+    def test_union_of_tiny_probabilities_keeps_row(self):
+        r = rel([("f", "x", 0, 5, 1e-200)])
+        s = rel([("f", "y", 0, 5, 1e-200)])
+        out = union(r, s)
+        assert [(t.lineage, t.p) for t in out] == [(Or(Atom("x"), Atom("y")), 2e-200)]
+
+
 class TestProbabilityEnvironments:
     def test_conflicting_atom_probability_rejected(self):
         r = rel([("f", "x", 0, 5, 0.4)])
