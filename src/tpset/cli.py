@@ -29,17 +29,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from typing import Optional
 
 from .bench import bench_setop
 from .datagen import GenParams, generate, overlapping_factor
+from .lineage import print_lineage, to_postfix, tokenize
 from .model import DuplicateFreeError, TpRelation
 from .setops import SetOpKind, apply_setop
 from .sweep import window_table
 from .tsvio import dump_relation, read_relation
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "query_postfix"]
 
 _KINDS = {k.value: k for k in SetOpKind}
 
@@ -54,7 +56,7 @@ class QuerySyntaxError(ValueError):
         self.position = position
 
 
-class _Parser(argparse.ArgumentParser):
+class _ArgParser(argparse.ArgumentParser):
     # argparse wants to exit(2) on bad usage; route it through the
     # normal user-error path instead
     def error(self, message):
@@ -62,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="tpset", description=__doc__.split("\n\n")[0])
+    p = _ArgParser(prog="tpset", description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     sp = sub.add_parser("op", help="apply one set operation")
@@ -157,46 +159,33 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    tree = _parse_query(args.expr)
-    cache: dict[str, TpRelation] = {}
-
-    def evaluate(node) -> TpRelation:
-        if node[0] == "file":
-            name = node[1]
-            if name not in cache:
-                cache[name] = read_relation(name)[0]
-            return cache[name]
-        _, kind, lhs, rhs = node
-        return apply_setop(kind, evaluate(lhs), evaluate(rhs))
-
-    result = evaluate(tree)
+    files: dict[str, TpRelation] = {}
+    stack: list[TpRelation] = []
+    for tok in query_postfix(args.expr):
+        if tok in _QUERY_OPS:
+            rhs = stack.pop()
+            stack[-1] = apply_setop(_QUERY_OPS[tok], stack[-1], rhs)
+        else:
+            if tok not in files:
+                files[tok] = read_relation(tok)[0]
+            stack.append(files[tok])
     with _out_stream(args.out) as fp:
-        dump_relation(result, fp, with_prob=not args.no_prob)
+        dump_relation(stack[0], fp, with_prob=not args.no_prob)
     return 0
 
 
 def _cmd_windows(args) -> int:
     r, s = _read_operands(args.left, args.right)
     arity = r.arity or s.arity or 1
-    from .lineage import print_lineage
-
     with _out_stream(args.out) as fp:
         fp.write(f"#fact:{arity}\tts\tte\tlambda_r\tlambda_s\n")
         # read_relation has checked both operands are duplicate-free,
         # which is all the kernel relies on
         for win in window_table(r, s).to_windows():
-            fp.write(
-                "\t".join(
-                    [
-                        "\t".join(win.fact),
-                        str(win.interval.ts),
-                        str(win.interval.te),
-                        print_lineage(win.lam_r) if win.lam_r is not None else "",
-                        print_lineage(win.lam_s) if win.lam_s is not None else "",
-                    ]
-                )
-                + "\n"
-            )
+            row = [*win.fact, str(win.interval.ts), str(win.interval.te)]
+            lams = (win.lam_r, win.lam_s)
+            row += ["" if lam is None else print_lineage(lam) for lam in lams]
+            fp.write("\t".join(row) + "\n")
     return 0
 
 
@@ -250,94 +239,28 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # query expressions
 #
-#   expr   := term (('+' | '-') term)*
-#   term   := factor ('*' factor)*
-#   factor := FILE | '(' expr ')'
-#
-# Operators count only as standalone words (delimited by whitespace or a
-# parenthesis), so file names may contain '-', '+' or '*'. Parentheses
-# always split off. A lone '-' is the difference operator here, never
-# stdin.
+# The operator table: '*' (intersect) binds tighter than '+' (union) and
+# '-' (difference), and there is no prefix operator. Operators count
+# only as standalone words (split by whitespace or a parenthesis), so
+# file names may contain '-', '+' or '*'; every other word is a file
+# name. A lone '-' is the difference operator here, never stdin.
 # ---------------------------------------------------------------------------
 
 _QUERY_OPS = {"+": SetOpKind.UNION, "-": SetOpKind.DIFFERENCE, "*": SetOpKind.INTERSECTION}
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2}
+_QUERY_TOKEN = re.compile(r"(\s*)([()]|[^\s()]+)")
 
 
-def _tokenize_query(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []  # (type, value, 1-based pos)
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append((ch, ch, i + 1))
-            i += 1
-            continue
-        start = i
-        while i < len(text) and not text[i].isspace() and text[i] not in "()":
-            i += 1
-        word = text[start:i]
-        kind = word if word in _QUERY_OPS else "file"
-        tokens.append((kind, word, start + 1))
-    return tokens
-
-
-def _parse_query(text: str):
-    tokens = _tokenize_query(text)
-    pos = 0
-
-    def peek() -> Optional[tuple[str, str, int]]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> tuple[str, str, int]:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_expr():
-        node = parse_term()
-        while (tok := peek()) is not None and tok[0] in "+-":
-            take()
-            node = ("op", _QUERY_OPS[tok[0]], node, parse_term())
-        return node
-
-    def parse_term():
-        node = parse_factor()
-        while (tok := peek()) is not None and tok[0] == "*":
-            take()
-            node = ("op", _QUERY_OPS["*"], node, parse_factor())
-        return node
-
-    def parse_factor():
-        tok = peek()
-        if tok is None:
-            raise QuerySyntaxError(
-                "expected a file name or '('", len(text) + 1
-            )
-        if tok[0] == "file":
-            take()
-            return ("file", tok[1])
-        if tok[0] == "(":
-            take()
-            node = parse_expr()
-            closing = peek()
-            if closing is None or closing[0] != ")":
-                raise QuerySyntaxError(
-                    "expected ')'",
-                    closing[2] if closing is not None else len(text) + 1,
-                )
-            take()
-            return node
-        raise QuerySyntaxError(f"unexpected '{tok[1]}'", tok[2])
-
-    node = parse_expr()
-    trailing = peek()
-    if trailing is not None:
-        raise QuerySyntaxError(f"unexpected '{trailing[1]}'", trailing[2])
-    return node
+def query_postfix(text: str) -> list[str]:
+    """The tokens of a query expression in postfix order. Raises
+    QuerySyntaxError with a 1-based position on bad input."""
+    return to_postfix(
+        tokenize(_QUERY_TOKEN, text),
+        _PRECEDENCE,
+        None,
+        lambda tok: tok not in _QUERY_OPS and tok not in (")", ""),
+        QuerySyntaxError,
+    )
 
 
 def main(argv=None) -> int:

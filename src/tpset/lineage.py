@@ -9,10 +9,12 @@ builds is the shape that gets stored, printed and compared.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter
-from typing import Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 __all__ = [
     "Atom",
@@ -327,83 +329,103 @@ def _eval_pinned(code: list, vals: dict[str, float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# text form
-#
-#   or_expr  := and_expr ('|' and_expr)*
-#   and_expr := unary ('&' unary)*
-#   unary    := '!' unary | atom | '(' or_expr ')'
-#
-# & binds tighter than |, ! tighter than both, chains are left
-# associative, whitespace is insignificant. Atom ids match
-# [A-Za-z_][A-Za-z0-9_]*.
+# infix text: lineage and tpset query expressions both go through one
+# shunting-yard routine, and callers fold its postfix over a stack
 # ---------------------------------------------------------------------------
+
+
+def tokenize(pattern: re.Pattern, text: str) -> list[tuple[str, int]]:
+    """(token, 1-based position) pairs, then the end marker ("", end).
+    pattern has two groups: the whitespace before a token, the token."""
+    pairs = []
+    pos = 1
+    for space, tok in pattern.findall(text):
+        pos += len(space)
+        pairs.append((tok, pos))
+        pos += len(tok)
+    pairs.append(("", len(text) + 1))
+    return pairs
+
+
+def to_postfix(
+    tokens: Iterable[tuple[str, int]],
+    infix: Mapping[str, int],
+    prefix: Optional[str],
+    is_operand: Callable[[str], bool],
+    error: Callable[[str, int], Exception],
+) -> list[str]:
+    """Reorder an infix token stream into postfix by shunting-yard.
+
+    tokens end with the marker ("", end). infix maps each binary operator
+    to its precedence (positive, higher binds tighter, left associative);
+    prefix, if given, binds tightest; '(' and ')' group; every token
+    is_operand accepts is an operand. Raises error(message, position) at
+    the first token that cannot continue a well-formed expression.
+    """
+    out: list[str] = []
+    # pending operators above a bottom marker; '(' and the marker have
+    # precedence 0, so no binary operator pops them
+    pending: list[tuple[float, str]] = [(0, "")]
+    operand = True  # whether an operand comes next rather than an operator
+    for tok, pos in tokens:
+        if operand:
+            if tok == "(":
+                pending.append((0, tok))
+            elif tok == prefix:
+                pending.append((math.inf, tok))
+            elif is_operand(tok):
+                out.append(tok)
+                operand = False
+            else:
+                raise error(f"unexpected '{tok}'" if tok else "unexpected end", pos)
+        elif tok in infix:
+            prec = infix[tok]
+            while pending[-1][0] >= prec:
+                out.append(pending.pop()[1])
+            pending.append((prec, tok))
+            operand = True
+        else:
+            # anything else closes the innermost '(' or ends the input
+            while pending[-1][0]:
+                out.append(pending.pop()[1])
+            opener = pending[-1][1]
+            if opener and tok == ")":
+                pending.pop()
+            elif opener:
+                raise error("expected ')'", pos)
+            elif tok:
+                raise error(f"unexpected '{tok}'", pos)
+            else:
+                break
+    return out
+
+
+# The lineage operator table: & binds tighter than |, the prefix !
+# tighter than both. An atom id starts with a character that is
+# str.isalpha() or '_' and goes on with str.isalnum() or '_', as \w does.
+_LINEAGE_TOKEN = re.compile(r"(\s*)(\w+|\S)")
+_PRECEDENCE = {"|": 1, "&": 2}
+_BINARY = {"|": Or, "&": And}
+
+
+def _is_atom(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
 
 
 def parse_lineage(text: str) -> Lineage:
     """Parse the text form. Raises LineageSyntaxError with a 1-based
     column position on bad input."""
-    parser = _Parser(text)
-    node = parser.parse_or()
-    parser.expect_end()
-    return node
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0  # 0-based index into text
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def _fail(self, message: str) -> None:
-        raise LineageSyntaxError(message, self.pos + 1)
-
-    def parse_or(self) -> Lineage:
-        node = self.parse_and()
-        while self._peek() == "|":
-            self.pos += 1
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Lineage:
-        node = self.parse_unary()
-        while self._peek() == "&":
-            self.pos += 1
-            node = And(node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Lineage:
-        ch = self._peek()
-        if ch == "!":
-            self.pos += 1
-            return Not(self.parse_unary())
-        if ch == "(":
-            self.pos += 1
-            node = self.parse_or()
-            if self._peek() != ")":
-                self._fail("expected ')'")
-            self.pos += 1
-            return node
-        if ch == "" or not (ch.isalpha() or ch == "_"):
-            self._fail("expected an atom, '!' or '('")
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return Atom(self.text[start : self.pos])
-
-    def expect_end(self) -> None:
-        if self._peek() != "":
-            self._fail("unexpected trailing input")
+    tokens = tokenize(_LINEAGE_TOKEN, text)
+    stack: list[Lineage] = []
+    for tok in to_postfix(tokens, _PRECEDENCE, "!", _is_atom, LineageSyntaxError):
+        if tok in _BINARY:
+            right = stack.pop()
+            stack[-1] = _BINARY[tok](stack[-1], right)
+        elif tok == "!":
+            stack[-1] = Not(stack[-1])
+        else:
+            stack.append(Atom(tok))
+    return stack[0]
 
 
 def print_lineage(lam: Lineage) -> str:

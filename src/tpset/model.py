@@ -239,12 +239,30 @@ class OpLineageColumn(LineageColumn):
         return len(self._li)
 
     def get(self, i: int) -> Lineage:
-        li = int(self._li[i])
-        ri = int(self._ri[i])
-        return self.concat(
-            self._left.get(li) if li >= 0 else None,
-            self._right.get(ri) if ri >= 0 else None,
-        )
+        # Composed queries chain op columns deeper than the recursion
+        # limit, so walk them over a stack of (column, row) and concat
+        # items. An op column over two other kinds of column concats at
+        # once, which keeps the common one-operation case short.
+        out: list[Optional[Lineage]] = []
+        todo: list = [(self, i)]
+        while todo:
+            item = todo.pop()
+            if type(item) is not tuple:
+                lam = out.pop()
+                out[-1] = item(out[-1], lam)
+                continue
+            col, i = item
+            if i < 0 or type(col) is not OpLineageColumn:
+                out.append(col.get(i) if i >= 0 else None)
+            else:
+                left, right = col._left, col._right
+                li, ri = int(col._li[i]), int(col._ri[i])
+                if type(left) is OpLineageColumn or type(right) is OpLineageColumn:
+                    todo += (col.concat, (right, ri), (left, li))
+                else:
+                    lam = left.get(li) if li >= 0 else None
+                    out.append(col.concat(lam, right.get(ri) if ri >= 0 else None))
+        return out[0]
 
     def take(self, idx: np.ndarray) -> "OpLineageColumn":
         idx = np.asarray(idx, dtype=np.int64)

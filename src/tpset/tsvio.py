@@ -87,10 +87,6 @@ def _read(fp: TextIO) -> tuple[TpRelation, AtomTable]:
             raise TsvFormatError(
                 f"line {lineno}: bad lambda ({e})"
             ) from e
-        except RecursionError:
-            raise TsvFormatError(
-                f"line {lineno}: lambda nested too deeply"
-            ) from None
         try:
             ts = int(parts[arity + 1])
             te = int(parts[arity + 2])

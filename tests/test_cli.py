@@ -19,6 +19,7 @@ from tpset import (
     except_,
     generate,
     intersect,
+    parse_lineage,
     print_lineage,
     read_relation,
     sort_relation,
@@ -26,7 +27,7 @@ from tpset import (
     windows,
     write_relation,
 )
-from tpset.cli import _parse_query, main
+from tpset.cli import main, query_postfix
 
 
 @pytest.fixture
@@ -158,13 +159,50 @@ class TestQuery:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "expr",
-        ["", "a.tsv +", "+ a.tsv", "(a.tsv", "a.tsv b.tsv", "a.tsv + ) b.tsv"],
+        "expr,position",
+        [
+            ("", 1),
+            ("a.tsv +", 8),
+            ("+ a.tsv", 1),
+            ("(a.tsv", 7),
+            ("a.tsv b.tsv", 7),
+            ("a.tsv + ) b.tsv", 9),
+            ("(a.tsv b.tsv)", 8),
+            ("((a.tsv)", 9),
+            ("a.tsv )", 7),
+        ],
     )
-    def test_syntax_errors(self, capsys, expr):
+    def test_syntax_errors(self, capsys, expr, position):
         rc, _, err = run(capsys, ["query", expr])
         assert rc == 1
-        assert "query position" in err
+        assert f"query position {position}:" in err
+
+    def test_deeply_parenthesized_query(self, capsys, files, rel_a):
+        expr = "(" * 1000 + files["a"] + ")" * 1000
+        rc, out, err = run(capsys, ["query", expr])
+        assert (rc, err) == (0, "")
+        assert out == write_relation(rel_a)
+
+    def test_deep_right_nested_query_reads_back(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # b - (a - (b - (a - ... a))), 1000 differences deep
+        a = tmp_path / "a.tsv"
+        b = tmp_path / "b.tsv"
+        a.write_text(write_relation(rel([("milk", "x", 0, 5, 0.5)])))
+        b.write_text(write_relation(rel([("milk", "y", 0, 5, 0.5)])))
+        expr = str(a)
+        for i in range(1000):
+            expr = f"{b if i % 2 == 0 else a} - ({expr})"
+        rc, out, err = run(capsys, ["query", expr])
+        assert (rc, err) == (0, "")
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        rc, ok, err = run(capsys, ["validate", "-"])
+        assert (rc, ok.strip(), err) == (0, "ok", "")
+        text = out.splitlines()[1].split("\t")[1]
+        got, _ = read_relation(io.StringIO(out))
+        assert print_lineage(got[0].lineage) == text
+        assert text.count("!") == 1000
 
     def test_dashes_in_file_names(self, capsys, tmp_path, rel_a, rel_c):
         # operators must stand alone, so path components with dashes
@@ -183,11 +221,19 @@ class TestQuery:
         assert rc == 1  # one nonexistent file named a.tsv+b.tsv
         assert "a.tsv+b.tsv" in err
 
-    def test_parse_tree_shapes(self):
-        t = _parse_query("x * y + z")
-        assert t[0] == "op" and t[2][0] == "op"
-        t2 = _parse_query("x * (y + z)")
-        assert t2[0] == "op" and t2[3][0] == "op"
+    @pytest.mark.parametrize(
+        "expr,postfix",
+        [
+            ("x * y + z", "x y * z +"),
+            ("x * (y + z)", "x y z + *"),
+            ("x - y - z", "x y - z -"),
+            ("x - (y - z)", "x y z - -"),
+            ("x + y * z - w", "x y z * + w -"),
+            ("((x))", "x"),
+        ],
+    )
+    def test_postfix_order(self, expr, postfix):
+        assert query_postfix(expr) == postfix.split()
 
 
 def iterator_windows_tsv(left: str, right: str) -> str:
@@ -298,12 +344,21 @@ class TestValidate:
         ["!" * 3000 + "x", "(" * 3000 + "x" + ")" * 3000],
         ids=["negations", "parentheses"],
     )
-    def test_deeply_nested_lambda_is_user_error(self, capsys, tmp_path, lam):
-        bad = tmp_path / "deep.tsv"
-        bad.write_text(f"#fact:1\tlambda\tts\tte\tp\nmilk\t{lam}\t0\t1\t0.5\n")
-        rc, _, err = run(capsys, ["validate", str(bad)])
-        assert rc == 1
-        assert "line 2: lambda nested too deeply" in err
+    def test_deeply_nested_lambda_round_trips(self, capsys, tmp_path, lam):
+        deep = tmp_path / "deep.tsv"
+        deep.write_text(f"#fact:1\tlambda\tts\tte\tp\nmilk\t{lam}\t0\t1\t0.5\n")
+        rc, ok, err = run(capsys, ["validate", str(deep)])
+        assert (rc, ok.strip(), err) == (0, "ok", "")
+        one = tmp_path / "one.tsv"
+        one.write_text(write_relation(rel([("milk", "y", 0, 1, 0.5)])))
+        rc, out, err = run(capsys, ["op", "union", str(deep), str(one)])
+        assert (rc, err) == (0, "")
+        got, _ = read_relation(io.StringIO(out))
+        assert len(got) == 1
+        # compared as text: dataclass == recurses on deep trees
+        printed = print_lineage(parse_lineage(lam))
+        assert print_lineage(got[0].lineage) == f"{printed} | y"
+        assert got[0].p == 0.75
 
     def test_deep_or_chain_writes_and_reads_back(self, capsys, tmp_path):
         chain = " | ".join(f"x{i}" for i in range(3000))

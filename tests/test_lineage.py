@@ -336,6 +336,13 @@ class TestGrammar:
             ("a & $", 5),
             ("(a | b) )", 9),
             ("1x", 1),
+            ("a)", 2),
+            ("()", 2),
+            ("!", 2),
+            ("a & (b", 7),
+            ("(a b", 4),
+            ("a\u00b7b", 2),
+            ("\u00b2a", 1),
         ],
     )
     def test_syntax_error_positions(self, text, position):
@@ -346,6 +353,30 @@ class TestGrammar:
     @given(formulas())
     def test_round_trip_preserves_structure(self, lam):
         assert parse_lineage(print_lineage(lam)) == lam
+
+    def test_atom_alphabet(self):
+        # first character isalpha() or '_', then isalnum() or '_'; a
+        # superscript digit continues an atom but cannot start one
+        assert parse_lineage("a\u00b2") == Atom("a\u00b2")
+        assert parse_lineage("_1 | a1") == Or(Atom("_1"), a1)
+
+    @pytest.mark.parametrize(
+        "text,printed",
+        [
+            ("!" * 3000 + "x", "!(" * 2999 + "!x" + ")" * 2999),
+            ("(" * 3000 + "x" + ")" * 3000, "x"),
+            ("!(" * 3000 + "x" + ")" * 3000, "!(" * 2999 + "!x" + ")" * 2999),
+            ("x & (" * 3000 + "y" + ")" * 3000, "x & (" * 2999 + "x & y" + ")" * 2999),
+        ],
+        ids=["negations", "parentheses", "negated-groups", "right-nested-and"],
+    )
+    def test_parse_deep_nesting(self, text, printed):
+        # compared as text: dataclass == recurses on deep trees
+        assert print_lineage(parse_lineage(text)) == printed
+
+    def test_parse_deep_or_chain(self):
+        text = " | ".join(f"x{i}" for i in range(3000))
+        assert print_lineage(parse_lineage(text)) == text
 
     def test_print_deep_or_chain(self):
         text = " | ".join(f"x{i}" for i in range(3000))

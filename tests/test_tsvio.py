@@ -15,6 +15,7 @@ from tpset import (
     dump_relation,
     generate,
     parse_lineage,
+    print_lineage,
     read_relation,
     sort_relation,
     union,
@@ -238,6 +239,19 @@ class TestRoundTrips:
         back, _ = read_relation(io.StringIO(text))
         assert back[0].p == 1e-10
         assert write_relation(back) == text
+
+    def test_long_chain_of_unions_writes_and_reads_back(self):
+        # each union wraps the previous result's lineage column, so the
+        # last column sits 1199 op columns deep
+        out = rel([("milk", "x0", 0, 5, 0.5)])
+        for i in range(1, 1200):
+            out = union(out, rel([("milk", f"x{i}", 0, 5, 0.5)]))
+        text = write_relation(out)
+        chain = " | ".join(f"x{i}" for i in range(1200))
+        assert text.splitlines()[1].split("\t")[1] == chain
+        back, _ = read_relation(io.StringIO(text))
+        assert print_lineage(back[0].lineage) == chain
+        assert print_lineage(out[0].lineage) == chain
 
     def test_negative_times_round_trip(self):
         text = (
