@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import AtomTable, PrefixAtomColumn, TpRelation
+from .model import AtomTable, LineageColumn, TpRelation
 from .sweep import window_table
 
 __all__ = ["GenParams", "generate", "overlapping_factor"]
@@ -87,7 +87,7 @@ def generate(params: GenParams) -> TpRelation:
             empty,
             empty,
             np.empty(0, dtype=np.float64),
-            PrefixAtomColumn(params.prefix, 0),
+            LineageColumn(params.prefix, 0),
             {},
             is_sorted=True,
         )
@@ -130,7 +130,7 @@ def generate(params: GenParams) -> TpRelation:
         ts_out,
         te_out,
         p_out,
-        PrefixAtomColumn(params.prefix, n),
+        LineageColumn(params.prefix, n),
         AtomTable(blocks=[(params.prefix, p_out)]),
         is_sorted=True,
     )

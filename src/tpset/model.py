@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -118,157 +118,125 @@ class Window(object):
 
 
 # ---------------------------------------------------------------------------
-# lineage columns
+# lineage column
 #
 # Formula trees for millions of generated tuples would dwarf the numeric
-# columns, so lineage is stored behind a small column interface and only
-# materialized per row. Three layouts cover every relation the package
-# builds: explicit objects, generated prefix+ordinal atoms, and lazy
-# views over two parent columns produced by a set operation.
+# columns, so a relation's lineage is a column of node ids into a block
+# and formulas are only materialized per row. A block is a list of
+# formulas (node k is its item k), a generator prefix (node k is the
+# atom '<prefix><k+1>') or the OpBlock a set operation appends over its
+# operands' blocks. No block is ever copied: reordering or filtering a
+# relation only re-indexes its node ids.
 # ---------------------------------------------------------------------------
 
 
+class OpBlock(NamedTuple):
+    """The nodes of one set operation's result. Node k is
+    concat(node left_ids[k] of left, node right_ids[k] of right), where
+    -1 marks an absent side, passed to concat as None. concat is the
+    operation's lineage concatenation, the concat field of its SetOpKind
+    row."""
+
+    concat: Callable[[Optional[Lineage], Optional[Lineage]], Lineage]
+    left: "Block"
+    left_ids: np.ndarray
+    right: "Block"
+    right_ids: np.ndarray
+
+
+Block = Union[list, str, OpBlock]
+
+
+def _generated_id(prefix: str, k: int) -> str:
+    return f"{prefix}{k + 1}"
+
+
+def _leaf(block: Block, k: int) -> Lineage:
+    return Atom(_generated_id(block, k)) if type(block) is str else block[k]
+
+
 class LineageColumn:
-    def __len__(self) -> int:
-        raise NotImplementedError
+    """Row i is node rows[i] of block, or node i when rows is None."""
 
-    def get(self, i: int) -> Lineage:
-        raise NotImplementedError
+    __slots__ = ("block", "n", "rows", "_distinct")
 
-    def take(self, idx: np.ndarray) -> "LineageColumn":
-        raise NotImplementedError
-
-    def rows_distinct_hint(self) -> bool:
-        """True only when distinct rows are guaranteed to carry pairwise
-        non-equivalent formulas. False means unknown."""
-        return False
-
-
-class ObjectLineageColumn(LineageColumn):
-    """Explicit formula objects, one per row."""
-
-    def __init__(self, formulas: Sequence[Lineage]):
-        self._arr = list(formulas)
+    def __init__(self, block: Block, n: int, rows: Optional[np.ndarray] = None):
+        self.block = block
+        self.n = n
+        self.rows = rows
         self._distinct: Optional[bool] = None
 
     def __len__(self) -> int:
-        return len(self._arr)
+        return self.n
 
     def get(self, i: int) -> Lineage:
-        return self._arr[i]
-
-    def take(self, idx: np.ndarray) -> "ObjectLineageColumn":
-        return ObjectLineageColumn([self._arr[int(i)] for i in idx])
-
-    def rows_distinct_hint(self) -> bool:
-        # bare atoms with no id repeated: rows are pairwise non-equivalent
-        if self._distinct is None:
-            ids = {lam.id for lam in self._arr if type(lam) is Atom}
-            self._distinct = len(ids) == len(self._arr)
-        return self._distinct
-
-
-class PrefixAtomColumn(LineageColumn):
-    """Row i carries the bare atom '<prefix><i+1>'. Used by the data
-    generator, where building millions of Atom objects up front would be
-    pure waste."""
-
-    def __init__(self, prefix: str, count: int):
-        self.prefix = prefix
-        self.count = count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def get(self, i: int) -> Lineage:
-        if not 0 <= i < self.count:
+        if not 0 <= i < self.n:
             raise IndexError(i)
-        return Atom(f"{self.prefix}{i + 1}")
-
-    def take(self, idx: np.ndarray) -> "LineageColumn":
-        return _GatherColumn(self, np.asarray(idx, dtype=np.int64))
-
-    def rows_distinct_hint(self) -> bool:
-        return True
-
-
-class _GatherColumn(LineageColumn):
-    """A reordered or filtered view of another column."""
-
-    def __init__(self, base: LineageColumn, idx: np.ndarray):
-        self._base = base
-        self._idx = idx
-
-    def __len__(self) -> int:
-        return len(self._idx)
-
-    def get(self, i: int) -> Lineage:
-        return self._base.get(int(self._idx[i]))
-
-    def take(self, idx: np.ndarray) -> "LineageColumn":
-        return _GatherColumn(self._base, self._idx[np.asarray(idx, dtype=np.int64)])
-
-    def rows_distinct_hint(self) -> bool:
-        # engine-internal takes use injective index arrays (sort
-        # permutations, strictly increasing group starts), so the base
-        # column's guarantee carries over
-        return self._base.rows_distinct_hint()
-
-
-class OpLineageColumn(LineageColumn):
-    """Lazy result column of a set operation. Row i is
-    concat(left row left_idx[i], right row right_idx[i]), where -1 marks
-    an absent side, passed to concat as None. concat is the operation's
-    lineage concatenation, the concat field of its SetOpKind row."""
-
-    def __init__(
-        self,
-        concat: Callable[[Optional[Lineage], Optional[Lineage]], Lineage],
-        left: LineageColumn,
-        right: LineageColumn,
-        left_idx: np.ndarray,
-        right_idx: np.ndarray,
-    ):
-        self.concat = concat
-        self._left = left
-        self._right = right
-        self._li = np.asarray(left_idx, dtype=np.int64)
-        self._ri = np.asarray(right_idx, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self._li)
-
-    def get(self, i: int) -> Lineage:
-        # Composed queries chain op columns deeper than the recursion
-        # limit, so walk them over a stack of (column, row) and concat
-        # items. An op column over two other kinds of column concats at
-        # once, which keeps the common one-operation case short.
+        # Composed queries chain operations deeper than the recursion
+        # limit, so the walk descends left first and stacks each
+        # operation's concat below its right operand's (block, node)
+        # pair. An operation over two leaf blocks concats at once, so
+        # the common one-operation case never touches the stack.
+        block, k = self.block, (i if self.rows is None else int(self.rows[i]))
         out: list[Optional[Lineage]] = []
-        todo: list = [(self, i)]
-        while todo:
-            item = todo.pop()
-            if type(item) is not tuple:
-                lam = out.pop()
-                out[-1] = item(out[-1], lam)
-                continue
-            col, i = item
-            if i < 0 or type(col) is not OpLineageColumn:
-                out.append(col.get(i) if i >= 0 else None)
+        todo: list = []
+        while True:
+            if k < 0:
+                out.append(None)
+            elif type(block) is not OpBlock:
+                out.append(_leaf(block, k))
             else:
-                left, right = col._left, col._right
-                li, ri = int(col._li[i]), int(col._ri[i])
-                if type(left) is OpLineageColumn or type(right) is OpLineageColumn:
-                    todo += (col.concat, (right, ri), (left, li))
-                else:
-                    lam = left.get(li) if li >= 0 else None
-                    out.append(col.concat(lam, right.get(ri) if ri >= 0 else None))
-        return out[0]
+                left, right = block.left, block.right
+                li, ri = int(block.left_ids[k]), int(block.right_ids[k])
+                if type(left) is OpBlock or type(right) is OpBlock:
+                    todo += (block.concat, (right, ri))
+                    block, k = left, li
+                    continue
+                lam = _leaf(left, li) if li >= 0 else None
+                lam2 = _leaf(right, ri) if ri >= 0 else None
+                out.append(block.concat(lam, lam2))
+            while todo and type(todo[-1]) is not tuple:
+                lam = out.pop()
+                out[-1] = todo.pop()(out[-1], lam)
+            if not todo:
+                return out[0]
+            block, k = todo.pop()
 
-    def take(self, idx: np.ndarray) -> "OpLineageColumn":
+    def take(self, idx: np.ndarray) -> "LineageColumn":
         idx = np.asarray(idx, dtype=np.int64)
-        return OpLineageColumn(
-            self.concat, self._left, self._right, self._li[idx], self._ri[idx]
-        )
+        return LineageColumn(self.block, len(idx), self.node_ids(idx))
+
+    def node_ids(self, idx: np.ndarray) -> np.ndarray:
+        """Node ids of rows idx, -1 kept; idx itself unless a view."""
+        if self.rows is None:
+            return idx
+        ids = idx.copy()
+        present = idx >= 0
+        ids[present] = self.rows[idx[present]]
+        return ids
+
+    def atom_texts(self) -> Optional[Iterator[str]]:
+        """Each row's atom id, without building the Atom, when the block
+        is a generator prefix; None for any other block."""
+        if type(self.block) is not str:
+            return None
+        nodes = range(self.n) if self.rows is None else self.rows.tolist()
+        return (_generated_id(self.block, k) for k in nodes)
+
+    def rows_distinct_hint(self) -> bool:
+        """True only when distinct rows are guaranteed to carry pairwise
+        non-equivalent formulas. False means unknown. Engine-internal
+        takes use injective index arrays (sort permutations, strictly
+        increasing group starts), so a view keeps its block's
+        guarantee."""
+        block = self.block
+        if type(block) is not list:
+            return type(block) is str
+        if self._distinct is None:
+            # bare atoms with no id repeated: rows are pairwise non-equivalent
+            ids = {lam.id for lam in block if type(lam) is Atom}
+            self._distinct = len(ids) == len(block)
+        return self._distinct
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +468,7 @@ class TpRelation:
             ts,
             te,
             p,
-            ObjectLineageColumn([t.lineage for t in rows]),
+            LineageColumn([t.lineage for t in rows], len(rows)),
             AtomTable.from_rows(((t.lineage, t.p) for t in rows), atom_probs),
         )
         if validate:

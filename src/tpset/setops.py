@@ -11,8 +11,8 @@ concatenation and its independent-probability formula:
   difference    r         l1 and not l2   p1 (1-p2)
 
 A lone side's lineage and probability pass through unchanged. The
-engine, the snapshot oracle and the lazy OpLineageColumn all read the
-same row.
+engine, the snapshot oracle and each result's lineage block
+(model.OpBlock, over the window index arrays) read the same row.
 
 Output probabilities are exact. When the operands' atom tables
 (model.AtomTable) provably share no atom, the independent formula works
@@ -43,7 +43,7 @@ from .lineage import (
 )
 from .model import (
     LineageColumn,
-    OpLineageColumn,
+    OpBlock,
     RelationError,
     DuplicateFreeError,
     TpRelation,
@@ -134,9 +134,11 @@ def apply_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
     te = wt.te[keep]
     ri = wt.r_idx[keep]
     si = wt.s_idx[keep]
-    col: LineageColumn = OpLineageColumn(
-        kind.concat, r.lineage_column, s.lineage_column, ri, si
+    rcol, scol = r.lineage_column, s.lineage_column
+    block = OpBlock(
+        kind.concat, rcol.block, rcol.node_ids(ri), scol.block, scol.node_ids(si)
     )
+    col = LineageColumn(block, len(ri))
     env = r.atom_probs.merge(s.atom_probs)
     disjoint = r.atom_probs.disjoint(s.atom_probs)
     if disjoint:
@@ -168,8 +170,8 @@ def apply_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
     # tuple on some side.
     if not (
         disjoint
-        and r.lineage_column.rows_distinct_hint()
-        and s.lineage_column.rows_distinct_hint()
+        and rcol.rows_distinct_hint()
+        and scol.rows_distinct_hint()
     ):
         codes, ts, te, p, col = _coalesce(codes, ts, te, p, col)
 

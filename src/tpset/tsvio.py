@@ -36,7 +36,6 @@ from .model import (
     AtomConflictError,
     AtomTable,
     Interval,
-    PrefixAtomColumn,
     TpRelation,
     TpTuple,
 )
@@ -172,10 +171,13 @@ def dump_relation(
                     f"fact attribute {attr!r} cannot be written as TSV"
                 )
         facts.append("\t".join(fact))
-    col = rel.lineage_column
-    # generated relations hold bare prefix+ordinal atoms; skip building
-    # the formula objects just to print them
-    plain_prefix = col.prefix if isinstance(col, PrefixAtomColumn) else None
+    lams = None
+    if with_lineage:
+        col = rel.lineage_column
+        # generated atom ids print without building Atom objects
+        lams = col.atom_texts()
+        if lams is None:
+            lams = (print_lineage(col.get(i)) for i in range(len(rel)))
     codes = rel.fact_codes
     ts = rel.ts_array
     te = rel.te_array
@@ -183,11 +185,8 @@ def dump_relation(
     out = []
     for i in range(len(rel)):
         row = [facts[int(codes[i])]]
-        if with_lineage:
-            if plain_prefix is not None:
-                row.append(f"{plain_prefix}{i + 1}")
-            else:
-                row.append(print_lineage(col.get(i)))
+        if lams is not None:
+            row.append(next(lams))
         row.append(str(int(ts[i])))
         row.append(str(int(te[i])))
         if with_prob:

@@ -23,12 +23,7 @@ from tpset import (
     sort_relation,
     validate_duplicate_free,
 )
-from tpset.model import (
-    AtomTable,
-    ObjectLineageColumn,
-    OpLineageColumn,
-    PrefixAtomColumn,
-)
+from tpset.model import AtomTable, LineageColumn, OpBlock
 
 
 class TestInterval:
@@ -202,28 +197,28 @@ class TestValidateDuplicateFree:
 
 
 class TestLineageColumns:
-    def test_prefix_column(self):
-        col = PrefixAtomColumn("g7a", 3)
+    def test_generated_rows(self):
+        col = LineageColumn("g7a", 3)
         assert col.get(0) == Atom("g7a1")
         assert col.get(2) == Atom("g7a3")
         with pytest.raises(IndexError):
             col.get(3)
         assert col.rows_distinct_hint()
 
-    def test_prefix_take_preserves_mapping(self):
-        col = PrefixAtomColumn("t", 4).take(np.array([2, 0]))
+    def test_generated_take_preserves_mapping(self):
+        col = LineageColumn("t", 4).take(np.array([2, 0]))
         assert col.get(0) == Atom("t3")
         assert col.get(1) == Atom("t1")
         assert col.rows_distinct_hint()
 
-    def test_object_column(self):
-        col = ObjectLineageColumn([Atom("x"), And(Atom("x"), Atom("y"))])
+    def test_formula_list(self):
+        col = LineageColumn([Atom("x"), And(Atom("x"), Atom("y"))], 2)
         assert col.get(1) == And(Atom("x"), Atom("y"))
         assert not col.rows_distinct_hint()
 
-    def test_object_column_of_distinct_bare_atoms(self):
-        assert ObjectLineageColumn([Atom("x"), Atom("y")]).rows_distinct_hint()
-        col = ObjectLineageColumn([Atom("x"), Atom("y"), Atom("x")])
+    def test_formula_list_of_distinct_bare_atoms(self):
+        assert LineageColumn([Atom("x"), Atom("y")], 2).rows_distinct_hint()
+        col = LineageColumn([Atom("x"), Atom("y"), Atom("x")], 3)
         assert not col.rows_distinct_hint()
 
     @pytest.mark.parametrize(
@@ -237,20 +232,49 @@ class TestLineageColumns:
         # name each concatenation by the connective it builds
         ids=lambda v: {and_fn: "and", and_not_fn: "andnot", or_fn: "or"}.get(v),
     )
-    def test_op_column(self, concat, li, ri, expected):
-        left = ObjectLineageColumn([Atom("l1"), Atom("l2")])
-        right = ObjectLineageColumn([Atom("r1"), Atom("r2")])
-        col = OpLineageColumn(
-            concat, left, right, np.array([li]), np.array([ri])
-        )
-        assert col.get(0) == expected
+    def test_operation_block(self, concat, li, ri, expected):
+        left = [Atom("l1"), Atom("l2")]
+        right = [Atom("r1"), Atom("r2")]
+        block = OpBlock(concat, left, np.array([li]), right, np.array([ri]))
+        assert LineageColumn(block, 1).get(0) == expected
 
-    def test_or_column_single_side_is_identity(self):
+    def test_or_block_single_side_is_identity(self):
         lam = And(Atom("x"), Atom("y"))
-        left = ObjectLineageColumn([lam])
-        right = ObjectLineageColumn([])
-        col = OpLineageColumn(or_fn, left, right, np.array([0]), np.array([-1]))
-        assert col.get(0) is lam
+        block = OpBlock(or_fn, [lam], np.array([0]), [], np.array([-1]))
+        assert LineageColumn(block, 1).get(0) is lam
+
+    @pytest.mark.parametrize(
+        "col",
+        [
+            LineageColumn([Atom("x"), Atom("y")], 2),
+            LineageColumn([Atom("x"), Atom("y")], 2).take(np.array([1, 0])),
+            LineageColumn("g", 2),
+            LineageColumn("g", 4).take(np.array([3, 1])),
+            LineageColumn(
+                OpBlock(or_fn, "a", np.array([0, 1]), "b", np.array([1, -1])), 2
+            ),
+        ],
+        ids=["list", "list-view", "generated", "generated-view", "operation"],
+    )
+    @pytest.mark.parametrize("i", [-1, -3, 2, 5])
+    def test_get_outside_rows_raises(self, col, i):
+        with pytest.raises(IndexError):
+            col.get(i)
+
+    def test_take_of_take_reads_the_materialized_rows(self):
+        # two chained operations, then two chained takes of the result
+        x = [Atom("x1"), Atom("x2"), Atom("x3")]
+        inner = OpBlock(
+            or_fn, x, np.array([0, 1, 2, 2]), "y", np.array([2, 1, 0, -1])
+        )
+        li, ri = np.array([3, 0, 1, 2, 3]), np.array([-1, 0, 1, 2, 3])
+        outer = OpBlock(and_not_fn, inner, li, "z", ri)
+        col = LineageColumn(outer, 5)
+        rows = [col.get(i) for i in range(5)]
+        first, second = np.array([4, 0, 2, 3]), np.array([3, 1, 2])
+        view = col.take(first).take(second)
+        assert type(view.block) is OpBlock and view.block is outer
+        assert [view.get(i) for i in range(3)] == [rows[first[j]] for j in second]
 
 
 def block(prefix: str, p=(0.5,)) -> AtomTable:
@@ -346,7 +370,7 @@ class TestAtomTableLookups:
         assert not r.atom_probs.disjoint(AtomTable({"y": 0.5}))
 
     def test_constructor_folds_a_plain_mapping_into_the_table(self):
-        col = ObjectLineageColumn([Atom("x"), And(Atom("y"), Atom("z"))])
+        col = LineageColumn([Atom("x"), And(Atom("y"), Atom("z"))], 2)
         r = TpRelation(
             (("f",),), [0, 0], [0, 1], [1, 2], [0.4, 0.3], col, {"z": 0.9}
         )

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 
+import tpset.tsvio
 from conftest import rel, rows_key
 from tpset import (
     DuplicateFreeError,
@@ -220,6 +222,20 @@ class TestRoundTrips:
         assert write_relation(back) == text
         assert rows_key(back) == rows_key(r)
         assert dict(env) == dict(r.atom_probs)
+
+    def test_generated_view_writes_without_formulas(self, monkeypatch):
+        # a slice of a generated relation is still written from its atom
+        # ids, byte-identical to the same rows as formula objects
+        r = generate(GenParams(num_tuples=60, num_facts=4, max_interval_len=3,
+                               max_gap=1, seed=5))
+        idx = np.flatnonzero(r.ts_array < 20)
+        view = TpRelation(r.fact_table, r.fact_codes[idx], r.ts_array[idx],
+                          r.te_array[idx], r.p_array[idx],
+                          r.lineage_column.take(idx), r.atom_probs,
+                          is_sorted=True)
+        want = write_relation(TpRelation.from_tuples(view))
+        monkeypatch.setattr(tpset.tsvio, "print_lineage", None)
+        assert write_relation(view) == want
 
     def test_tiny_probability_round_trip(self):
         # only a value that would print as zero leaves the 9-decimal form
