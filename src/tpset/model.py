@@ -207,10 +207,11 @@ class LineageColumn:
         return LineageColumn(self.block, len(idx), self.node_ids(idx))
 
     def node_ids(self, idx: np.ndarray) -> np.ndarray:
-        """Node ids of rows idx, -1 kept; idx itself unless a view."""
+        """Node ids of rows idx, -1 kept; idx itself unless a view, whose
+        ids are int64 whatever the dtype of idx."""
         if self.rows is None:
             return idx
-        ids = idx.copy()
+        ids = idx.astype(np.int64)
         present = idx >= 0
         ids[present] = self.rows[idx[present]]
         return ids

@@ -128,12 +128,20 @@ def apply_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
     r, s = _check_operands(r, s)
     wt = window_table(r, s)
 
-    keep = kind.window_filter(wt.r_idx >= 0, wt.s_idx >= 0)
-    codes = wt.fact_codes[keep]
-    ts = wt.ts[keep]
-    te = wt.te[keep]
-    ri = wt.r_idx[keep]
-    si = wt.s_idx[keep]
+    # Take the columns and drop the table, so that each filtered copy
+    # frees its source; a filter that keeps every window (union) copies
+    # nothing.
+    fact_table = wt.fact_table
+    codes, ts, te, ri, si = wt.fact_codes, wt.ts, wt.te, wt.r_idx, wt.s_idx
+    del wt
+    keep = kind.window_filter(ri >= 0, si >= 0)
+    if not keep.all():
+        codes = codes[keep]
+        ts = ts[keep]
+        te = te[keep]
+        ri = ri[keep]
+        si = si[keep]
+    del keep
     rcol, scol = r.lineage_column, s.lineage_column
     block = OpBlock(
         kind.concat, rcol.block, rcol.node_ids(ri), scol.block, scol.node_ids(si)
@@ -175,9 +183,7 @@ def apply_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
     ):
         codes, ts, te, p, col = _coalesce(codes, ts, te, p, col)
 
-    return TpRelation(
-        wt.fact_table, codes, ts, te, p, col, env, is_sorted=True
-    )
+    return TpRelation(fact_table, codes, ts, te, p, col, env, is_sorted=True)
 
 
 def intersect(r: TpRelation, s: TpRelation) -> TpRelation:

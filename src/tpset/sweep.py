@@ -17,15 +17,18 @@ it window for window, in the same (fact, ts) order, and the tests hold
 it to that.
 
 The kernel's event points are the distinct (fact, time) keys of every
-tuple start and end on both sides. Each side is sorted by (fact, ts)
-and duplicate-free, so its start keys form one ascending run and so do
-its end keys (a tuple of a fact ends before the next one of that fact
-starts). The four key arrays therefore concatenate into four sorted
-runs: a stable sort (timsort for int64) merges them in a near-linear
-pass, and dropping each key equal to its predecessor leaves the event
-points in order. That is the paper's single pass over sorted event
-points, with no hash table. Correctness does not depend on the runs:
-the sort is a full sort on any input.
+tuple start and end on both sides, one integer per pair: int32 when the
+fact count times the time span fits, which the paper's layouts do, and
+int64 otherwise. Each side is sorted by (fact, ts) and duplicate-free,
+so its start keys form one ascending run and so do its end keys (a
+tuple of a fact ends before the next one of that fact starts). The
+four key arrays therefore concatenate into four sorted runs: a stable
+sort (timsort for int32 and int64) merges them in a near-linear pass,
+and dropping each key equal to its predecessor leaves the event points
+in order. That is the paper's single pass over sorted event points,
+with no hash table. Correctness does not depend on the runs: the sort
+is a full sort on any input. Each temporary is dropped at its last
+use.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    DuplicateFreeError,
     Fact,
     Interval,
     RelationError,
@@ -213,8 +217,13 @@ def windows(r: TpRelation, s: TpRelation) -> list[Window]:
 
 @dataclass
 class WindowTable:
-    """Columnar window set. r_idx/s_idx give the covering row in the
-    sorted input relations r_rel/s_rel, -1 where a side is absent."""
+    """Columnar window set, in (fact, ts) order.
+
+    ts/te are int64 chronons. fact_codes index fact_table; r_idx/s_idx
+    give the covering row in the sorted input relations r_rel/s_rel, -1
+    where a side is absent. These three are int32 when the kernel's keys
+    fit int32 (see window_table), int64 otherwise.
+    """
 
     fact_table: tuple[Fact, ...]
     fact_codes: np.ndarray
@@ -251,6 +260,8 @@ class WindowTable:
 def _merged_fact_table(
     r: TpRelation, s: TpRelation
 ) -> tuple[tuple[Fact, ...], np.ndarray, np.ndarray]:
+    """The sorted union of both fact tables, and each side's map from
+    its own fact codes to merged ones."""
     merged = tuple(sorted(set(r.fact_table) | set(s.fact_table)))
     code_of = {f: i for i, f in enumerate(merged)}
     remap_r = np.fromiter(
@@ -259,97 +270,121 @@ def _merged_fact_table(
     remap_s = np.fromiter(
         (code_of[f] for f in s.fact_table), dtype=np.int64, count=len(s.fact_table)
     )
-    rc = remap_r[r.fact_codes] if len(r) else np.empty(0, dtype=np.int64)
-    sc = remap_s[s.fact_codes] if len(s) else np.empty(0, dtype=np.int64)
-    return merged, rc, sc
+    return merged, remap_r, remap_s
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of keys in ascending order.
+    """The distinct values of keys in ascending order. Sorts keys in
+    place.
 
     Not numpy.unique: on NumPy >= 2.3 it takes a hash-based path that is
     ~18x slower than this on the kernel's event keys (4M keys).
     """
-    out = np.sort(keys, kind="stable")
-    keep = np.ones(len(out), dtype=bool)
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
+    keys.sort(kind="stable")
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def window_table(r: TpRelation, s: TpRelation) -> WindowTable:
     """Compute the full window set column-wise, in (fact, ts) order.
 
-    Encodes (fact, time) pairs into single int64 keys, one per tuple
-    start and end on each side. The four key arrays are each one sorted
-    run (see the module docstring), so a stable sort merges them and an
-    adjacent-difference mask drops repeated keys, leaving the sorted
-    distinct event points. Every gap between adjacent points of one
-    fact that at least one input tuple covers is a window. Covering
-    rows are found with one binary-search pass per side. When the time
-    span times the fact count would overflow int64 keys, the time axis
-    is first rank-compressed through the same sorted dedup.
+    Encodes each (fact, time) pair as one integer key, fact * span +
+    (time - tmin), for every tuple start and end on each side. The keys
+    are int32 when fact count times span is below 2**31, and int64
+    otherwise. A duplicate-free side with ts < te holds at most that
+    many tuples, so the same test bounds the row indices. Tuples of one
+    fact that overlap raise DuplicateFreeError.
+
+    The four key arrays are each one sorted run (see the module
+    docstring), so a stable sort merges them and an adjacent-difference
+    mask drops repeated keys, leaving the sorted distinct event points.
+    Every gap between adjacent points that at least one input tuple
+    covers is a window. Covering rows are found with one binary-search
+    pass per side. When the time span times the fact count would
+    overflow int64 keys, the time axis is first rank-compressed through
+    the same sorted dedup, and the keys stay int64.
     """
     r = sort_relation(r)
     s = sort_relation(s)
-    merged, rc, sc = _merged_fact_table(r, s)
-    n_r, n_s = len(r), len(s)
-    empty = np.empty(0, dtype=np.int64)
-    if n_r == 0 and n_s == 0:
+    merged, remap_r, remap_s = _merged_fact_table(r, s)
+    sides = [rel for rel in (r, s) if len(rel)]
+    if not sides:
+        empty = np.empty(0, dtype=np.int64)
         return WindowTable(merged, empty, empty, empty, empty, empty, r, s)
 
-    all_ts = np.concatenate([r.ts_array, s.ts_array])
-    all_te = np.concatenate([r.te_array, s.te_array])
-    tmin = int(all_ts.min())
-    tmax = int(all_te.max())
+    tmin = min(int(rel.ts_array.min()) for rel in sides)
+    tmax = max(int(rel.te_array.max()) for rel in sides)
     span = (tmax - tmin) + 2
+    kt = np.int32 if len(merged) * span < 2**31 else np.int64
     compressed: Optional[np.ndarray] = None
     if len(merged) * span >= 2**62:
         # Degenerate spreads (huge chronon values, tiny tuple count):
         # rank-compress the time axis so keys stay in range.
-        compressed = _sorted_distinct(np.concatenate([all_ts, all_te]))
-        span = len(compressed) + 1
-        rk_ts = rc * span + np.searchsorted(compressed, r.ts_array)
-        rk_te = rc * span + np.searchsorted(compressed, r.te_array)
-        sk_ts = sc * span + np.searchsorted(compressed, s.ts_array)
-        sk_te = sc * span + np.searchsorted(compressed, s.te_array)
-    else:
-        rk_ts = rc * span + (r.ts_array - tmin)
-        rk_te = rc * span + (r.te_array - tmin)
-        sk_ts = sc * span + (s.ts_array - tmin)
-        sk_te = sc * span + (s.te_array - tmin)
-    del all_ts, all_te
-
-    pts = _sorted_distinct(np.concatenate([rk_ts, rk_te, sk_ts, sk_te]))
-    fid = pts // span
-    adj = fid[:-1] == fid[1:]
-    seg_start = pts[:-1][adj]
-    seg_end = pts[1:][adj]
-    seg_fact = fid[:-1][adj]
-    del pts, fid, adj
-
-    def covering(side_ts_key, side_te_key, side_codes):
-        # candidate: the last tuple starting at or before the segment;
-        # it covers iff it is the same fact and ends past the start
-        i = np.searchsorted(side_ts_key, seg_start, side="right") - 1
-        ic = np.maximum(i, 0)
-        ok = (
-            (i >= 0)
-            & (side_codes[ic] == seg_fact)
-            & (side_te_key[ic] > seg_start)
+        compressed = _sorted_distinct(
+            np.concatenate([a for rel in sides for a in (rel.ts_array, rel.te_array)])
         )
-        return np.where(ok, i, -1)
+        span = len(compressed) + 1
 
-    r_idx = covering(rk_ts, rk_te, rc) if n_r else np.full(len(seg_start), -1)
-    s_idx = covering(sk_ts, sk_te, sc) if n_s else np.full(len(seg_start), -1)
-    keep = (r_idx >= 0) | (s_idx >= 0)
+    def key(t: np.ndarray, base: np.ndarray) -> np.ndarray:
+        # built in int64 and narrowed only then, so no chronon is ever
+        # computed in int32
+        k = t - tmin if compressed is None else np.searchsorted(compressed, t)
+        k += base
+        return k.astype(kt, copy=False)
 
-    seg_fact = seg_fact[keep]
-    start_off = seg_start[keep] - seg_fact * span
-    end_off = seg_end[keep] - seg_fact * span
-    if compressed is not None:
-        ts = compressed[start_off]
-        te = compressed[end_off]
-    else:
-        ts = start_off + tmin
-        te = end_off + tmin
-    return WindowTable(merged, seg_fact, ts, te, r_idx[keep], s_idx[keep], r, s)
+    def side_keys(rel: TpRelation, remap: np.ndarray):
+        # Start keys, and end keys behind one sentinel below every key:
+        # k_te[j + 1] is row j's end key.
+        base = (remap * span)[rel.fact_codes]
+        k_ts = key(rel.ts_array, base)
+        k_te = np.empty(len(rel) + 1, dtype=kt)
+        k_te[0] = np.iinfo(kt).min
+        k_te[1:] = key(rel.te_array, base)
+        # Each fact's keys lie below the next fact's, so this adjacent
+        # test is exact across facts, as in validate_duplicate_free.
+        over = k_te[1:-1] > k_ts[1:]
+        if over.any():
+            i = int(over.argmax())
+            raise DuplicateFreeError(rel.row(i), rel.row(i + 1))
+        return k_ts, k_te
+
+    rk_ts, rk_te = side_keys(r, remap_r)
+    sk_ts, sk_te = side_keys(s, remap_s)
+    pts = _sorted_distinct(np.concatenate([rk_ts, rk_te[1:], sk_ts, sk_te[1:]]))
+    seg_start = pts[:-1]
+
+    def covering(k_ts, k_te):
+        # i - 1 is the last row starting at or before the segment; it
+        # covers the segment iff it ends past the segment's start. Such
+        # an end key lies in the segment's own fact, because each
+        # fact's keys lie in their own span; so a gap between two facts
+        # is never covered, and the sentinel answers for i == 0.
+        i = np.searchsorted(k_ts, seg_start, side="right").astype(kt, copy=False)
+        uncovered = k_te[i] <= seg_start
+        i -= 1
+        i[uncovered] = -1
+        return i
+
+    r_idx = covering(rk_ts, rk_te)
+    s_idx = covering(sk_ts, sk_te)
+    del rk_ts, rk_te, sk_ts, sk_te
+    keep = r_idx >= 0
+    keep |= s_idx >= 0
+    r_idx = r_idx[keep]
+    s_idx = s_idx[keep]
+    start = seg_start[keep]
+    end = pts[1:][keep]
+    del pts, seg_start, keep
+
+    def chronons(keys):
+        off = keys % span
+        if compressed is not None:
+            return compressed[off]
+        t = off.astype(np.int64)
+        t += tmin
+        return t
+
+    return WindowTable(
+        merged, start // span, chronons(start), chronons(end), r_idx, s_idx, r, s
+    )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from conftest import rel, rows_key
 from tpset import (
     And,
     Atom,
+    GenParams,
     Interval,
     LineageError,
     MissingAtomError,
@@ -20,6 +23,7 @@ from tpset import (
     TpTuple,
     apply_setop,
     except_,
+    generate,
     intersect,
     oracle_setop,
     parse_lineage,
@@ -468,3 +472,33 @@ class TestProbabilityEnvironments:
         out = intersect(r, s)
         assert len(out) == 1
         assert abs(out[0].p - 0.35 * 0.5) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def paper_layout_200k() -> tuple[TpRelation, TpRelation]:
+    return (
+        generate(GenParams(200_000, 1, 3, 1, seed=0, atom_prefix="a")),
+        generate(GenParams(200_000, 1, 3, 1, seed=1, atom_prefix="b")),
+    )
+
+
+class TestMemory:
+    @pytest.mark.parametrize("kind", list(SetOpKind))
+    def test_peak_allocation_within_operand_bytes(self, kind, paper_layout_200k):
+        # The sweep and the filter keep only the arrays they still need:
+        # everything one operation allocates, its result included, peaks
+        # at no more than 2.5 times the bytes of its operands' columns.
+        r, s = paper_layout_200k
+        operand_bytes = sum(
+            col.nbytes
+            for rel_ in (r, s)
+            for col in (rel_.fact_codes, rel_.ts_array, rel_.te_array, rel_.p_array)
+        )
+        tracemalloc.start()
+        try:
+            out = apply_setop(kind, r, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) > 0
+        assert peak <= 2.5 * operand_bytes, peak / operand_bytes

@@ -10,14 +10,20 @@ from hypothesis import strategies as st
 from conftest import rel
 from tpset import (
     Atom,
+    DuplicateFreeError,
     Interval,
     RelationError,
+    SetOpKind,
     TpRelation,
     TpTuple,
     Window,
+    apply_setop,
     init_status,
     next_window,
+    oracle_setop,
+    overlapping_factor,
     sort_relation,
+    syntactic_equiv,
     window_table,
     windows,
 )
@@ -233,12 +239,19 @@ class TestRandomizedAgainstChrononScan:
         assert len(ws) <= 2 * len(r) + 2 * len(s) - len(facts)
 
 
+# Time bases the kernel's keys must survive: zero, just below the int32
+# limit, far below zero, and far past the int32 limit.
+TIME_BASES = [0, 2**31 - 5, -(2**40), 2**62]
+
+
 @st.composite
 def repeated_key_pairs(draw) -> tuple[TpRelation, TpRelation]:
-    """Two relations on the grid 0..8 built to repeat event keys: each
-    fact's tuples are cut from one sorted point set, so covered pieces
-    sit gap-0 next to each other, both sides draw from the same few
-    points, several facts share them, and sometimes a side is empty."""
+    """Two relations on the grid base..base+8, base from TIME_BASES,
+    built to repeat event keys: each fact's tuples are cut from one
+    sorted point set, so covered pieces sit gap-0 next to each other,
+    both sides draw from the same few points, several facts share
+    them, and sometimes a side is empty."""
+    base = draw(st.sampled_from(TIME_BASES))
     n_facts = draw(st.integers(1, 3))
     sides = []
     for prefix in ("r", "s"):
@@ -248,7 +261,7 @@ def repeated_key_pairs(draw) -> tuple[TpRelation, TpRelation]:
             covered = draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
             for ts, te, keep in zip(cuts, cuts[1:], covered):
                 if keep:
-                    iv = Interval(ts, te)
+                    iv = Interval(base + ts, base + te)
                     rows.append(TpTuple((f"f{f}",), A(f"{prefix}{len(rows)}"), iv, 0.5))
         sides.append(TpRelation.from_tuples(rows))
     emptied = draw(st.sampled_from([None, 0, 1]))
@@ -274,6 +287,11 @@ class TestVectorKernel:
     def test_row_order_matches_iterator_on_repeated_keys(self, pair):
         r, s = pair
         assert as_rows(window_table(r, s).to_windows()) == as_rows(windows(r, s))
+
+    @given(repeated_key_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_operations_match_oracle_on_repeated_keys(self, pair):
+        assert_ops_match_oracle(*pair)
 
     def test_matches_iterator_on_goldens(self, rel_a, rel_b, rel_c):
         for r, s in [(rel_a, rel_c), (rel_a, rel_b), (rel_c, rel_b), (rel_b, rel_b)]:
@@ -377,3 +395,154 @@ class TestVectorKernel:
                 if w1.interval.te == w2.interval.ts:
                     # maximality: adjacent windows must differ somewhere
                     assert (w1.lam_r, w1.lam_s) != (w2.lam_r, w2.lam_s)
+
+
+def assert_ops_match_oracle(r: TpRelation, s: TpRelation) -> None:
+    """Every operation equals the chronon-walking oracle, row for row
+    and lineage for lineage, and keeps int64 columns."""
+    for kind in SetOpKind:
+        fast = apply_setop(kind, r, s)
+        slow = oracle_setop(kind, r, s)
+        assert [(t.fact, t.interval, t.p) for t in fast] == [
+            (t.fact, t.interval, t.p) for t in slow
+        ], kind
+        for tf, tw in zip(fast, slow):
+            assert syntactic_equiv(tf.lineage, tw.lineage)
+        for col in (fast.fact_codes, fast.ts_array, fast.te_array):
+            assert col.dtype == np.int64
+
+
+def placed(prefix: str, rows, offsets: dict) -> TpRelation:
+    """rows: (fact, ts, te); each fact's times shifted by its offset."""
+    return TpRelation.from_tuples(
+        [
+            TpTuple(
+                (f,),
+                Atom(f"{prefix}{i}"),
+                Interval(offsets[f] + ts, offsets[f] + te),
+                0.25 + 0.5 * (i % 2),
+            )
+            for i, (f, ts, te) in enumerate(rows)
+        ]
+    )
+
+
+# gap-0 neighbours, shared endpoints, a lone left tail and a lone right
+# tuple, on two facts
+LEFT_ROWS = [("f", 0, 3), ("f", 3, 6), ("f", 9, 12), ("g", 0, 4), ("g", 6, 8)]
+RIGHT_ROWS = [("f", 2, 3), ("f", 5, 10), ("g", 4, 6), ("g", 7, 9)]
+
+
+class TestNarrowedKernel:
+    """The kernel's keys and row indices are int32 exactly when fact
+    count times span (tmax - tmin + 2) is below 2**31; chronons never
+    pass through int32."""
+
+    @pytest.mark.parametrize("base", [2**31 - 5, -(2**40), 2**62 - 20])
+    def test_time_bases(self, base):
+        offsets = {"f": base, "g": base}
+        r, s = placed("r", LEFT_ROWS, offsets), placed("s", RIGHT_ROWS, offsets)
+        wt = window_table(r, s)
+        assert wt.r_idx.dtype == wt.s_idx.dtype == wt.fact_codes.dtype == np.int32
+        assert wt.ts.dtype == wt.te.dtype == np.int64
+        assert as_rows(wt.to_windows()) == as_rows(windows(r, s))
+        assert_ops_match_oracle(r, s)
+
+    @pytest.mark.parametrize(
+        "span,key_dtype", [(2**30 - 1, np.int32), (2**30, np.int64)]
+    )
+    def test_fact_count_times_span_at_the_int32_limit(self, span, key_dtype):
+        # two facts; g's last end sits at tmin + span - 2
+        offsets = {"f": 7, "g": 7 + span - 2 - 9}
+        r, s = placed("r", LEFT_ROWS, offsets), placed("s", RIGHT_ROWS, offsets)
+        wt = window_table(r, s)
+        assert wt.r_idx.dtype == wt.s_idx.dtype == wt.fact_codes.dtype == key_dtype
+        assert int(wt.te.max()) - int(wt.ts.min()) == span - 2
+        assert as_rows(wt.to_windows()) == as_rows(windows(r, s))
+        assert_ops_match_oracle(r, s)
+
+    def test_rank_compressed_branch(self):
+        offsets = {"f": 2**62, "g": 2**63 - 20}
+        r, s = placed("r", LEFT_ROWS, offsets), placed("s", RIGHT_ROWS, offsets)
+        wt = window_table(r, s)
+        assert wt.r_idx.dtype == wt.fact_codes.dtype == np.int64
+        assert int(wt.ts.min()) == 2**62
+        assert as_rows(wt.to_windows()) == as_rows(windows(r, s))
+        assert_ops_match_oracle(r, s)
+
+    def test_side_starting_after_a_segment(self):
+        # s starts after r's first segment, so that segment looks up
+        # s's row -1, the padded sentinel; on g, the last s start at or
+        # before r's first segment is f's, which ends before g's keys
+        r = rel([("f", "r1", 0, 2, 0.5), ("g", "r2", 0, 2, 0.5)])
+        s = rel([("f", "s1", 3, 5, 0.5), ("g", "s2", 1, 3, 0.5)])
+        rows = as_rows(window_table(r, s).to_windows())
+        assert rows == [
+            ("f", 0, 2, A("r1"), None),
+            ("f", 3, 5, None, A("s1")),
+            ("g", 0, 1, A("r2"), None),
+            ("g", 1, 2, A("r2"), A("s2")),
+            ("g", 2, 3, None, A("s2")),
+        ]
+        assert rows == as_rows(windows(r, s))
+        assert_ops_match_oracle(r, s)
+
+    @pytest.mark.parametrize("empty_side", [0, 1])
+    def test_one_side_empty(self, empty_side):
+        pair = [
+            placed("r", LEFT_ROWS, {"f": -(2**40), "g": 0}),
+            TpRelation.from_tuples([]),
+        ]
+        if empty_side == 0:
+            pair.reverse()
+        r, s = pair
+        assert as_rows(window_table(r, s).to_windows()) == as_rows(windows(r, s))
+        assert_ops_match_oracle(r, s)
+
+
+class TestOverlapRejected:
+    """The kernel rejects tuples of one fact that overlap instead of
+    returning windows that lose one of them."""
+
+    def overlapping(self):
+        return rel([("f", "x1", 0, 5, 0.5), ("f", "x2", 2, 7, 0.5)], validate=False)
+
+    def test_left_side(self):
+        s = rel([("f", "y1", 1, 3, 0.5)])
+        with pytest.raises(DuplicateFreeError) as err:
+            window_table(self.overlapping(), s)
+        assert [t.interval for t in err.value.pair] == [Interval(0, 5), Interval(2, 7)]
+        with pytest.raises(DuplicateFreeError):
+            overlapping_factor(self.overlapping(), s)
+        with pytest.raises(RelationError):
+            windows(self.overlapping(), s)
+
+    def test_right_side_and_equal_starts(self):
+        r = rel([("f", "y1", 1, 3, 0.5)])
+        s = rel(
+            [("g", "z0", 0, 1, 0.5), ("g", "z1", 4, 6, 0.5), ("g", "z2", 4, 5, 0.5)],
+            validate=False,
+        )
+        with pytest.raises(DuplicateFreeError) as err:
+            window_table(r, s)
+        assert {t.interval for t in err.value.pair} == {Interval(4, 6), Interval(4, 5)}
+
+    def test_first_pair_is_named(self):
+        r = rel(
+            [
+                ("f", "a", 0, 3, 0.5),
+                ("f", "b", 2, 4, 0.5),
+                ("g", "c", 0, 9, 0.5),
+                ("g", "d", 1, 2, 0.5),
+            ],
+            validate=False,
+        )
+        with pytest.raises(DuplicateFreeError) as err:
+            window_table(r, TpRelation.from_tuples([]))
+        assert [t.lineage for t in err.value.pair] == [A("a"), A("b")]
+
+    def test_touching_tuples_and_other_facts_pass(self):
+        # an end equal to the next start, and one fact ending after the
+        # next fact's first start, are not overlaps
+        r = rel([("f", "a", 0, 3, 0.5), ("f", "b", 3, 9, 0.5), ("g", "c", 1, 2, 0.5)])
+        assert as_rows(window_table(r, r).to_windows()) == as_rows(windows(r, r))
