@@ -406,6 +406,9 @@ def to_postfix(
 _LINEAGE_TOKEN = re.compile(r"(\s*)(\w+|\S)")
 _PRECEDENCE = {"|": 1, "&": 2}
 _BINARY = {"|": Or, "&": And}
+# A whole text that is one atom id with an ASCII first character; the
+# tokenizer reads it as that one atom too.
+_BARE_ATOM = re.compile(r"[A-Za-z_]\w*")
 
 
 def _is_atom(tok: str) -> bool:
@@ -415,6 +418,8 @@ def _is_atom(tok: str) -> bool:
 def parse_lineage(text: str) -> Lineage:
     """Parse the text form. Raises LineageSyntaxError with a 1-based
     column position on bad input."""
+    if _BARE_ATOM.fullmatch(text):
+        return Atom(text)
     tokens = tokenize(_LINEAGE_TOKEN, text)
     stack: list[Lineage] = []
     for tok in to_postfix(tokens, _PRECEDENCE, "!", _is_atom, LineageSyntaxError):
@@ -428,13 +433,25 @@ def parse_lineage(text: str) -> Lineage:
     return stack[0]
 
 
-def print_lineage(lam: Lineage) -> str:
-    """Render with minimal parentheses.
+def needs_parens(op: type, child: type, right: bool = False) -> bool:
+    """Whether a child node of class child prints in parentheses under
+    an op node, as its right operand when right is set. Lower-precedence
+    children are parenthesized, as is a same-operator right child, so
+    left-nested chains print flat and the original tree shape survives a
+    parse round trip. Only an atom follows '!' bare."""
+    if op is Not:
+        return child is not Atom
+    if right:
+        return child is Or or child is op
+    # & binds tighter than |
+    return op is And and child is Or
 
-    Lower-precedence children are parenthesized, as is a same-operator
-    right child, so left-nested chains print flat and the original tree
-    shape survives a parse round trip.
-    """
+
+SEPARATOR = {And: " & ", Or: " | "}
+
+
+def print_lineage(lam: Lineage) -> str:
+    """Render with minimal parentheses (see needs_parens)."""
     # Preorder over an explicit stack of nodes and literal text.
     out: list[str] = []
     stack: list = [lam]
@@ -445,16 +462,17 @@ def print_lineage(lam: Lineage) -> str:
         elif type(node) is Atom:
             out.append(node.id)
         elif type(node) is Not:
-            if type(node.child) is Atom:
-                out.append("!" + node.child.id)
-            else:
+            if needs_parens(Not, type(node.child)):
                 stack += (")", node.child, "!(")
+            else:
+                out.append("!" + node.child.id)
         else:
             op = type(node)
-            # & binds tighter than |, and chains nest to the left
-            wrap_left = op is And and type(node.left) is Or
-            wrap_right = type(node.right) is Or or type(node.right) is op
-            stack += (")", node.right, "(") if wrap_right else (node.right,)
-            stack.append(" & " if op is And else " | ")
-            stack += (")", node.left, "(") if wrap_left else (node.left,)
+            left, right = node.left, node.right
+            if needs_parens(op, type(right), right=True):
+                stack += (")", right, "(")
+            else:
+                stack.append(right)
+            stack.append(SEPARATOR[op])
+            stack += (")", left, "(") if needs_parens(op, type(left)) else (left,)
     return "".join(out)

@@ -204,7 +204,9 @@ class LineageColumn:
 
     def take(self, idx: np.ndarray) -> "LineageColumn":
         idx = np.asarray(idx, dtype=np.int64)
-        return LineageColumn(self.block, len(idx), self.node_ids(idx))
+        view = LineageColumn(self.block, len(idx), self.node_ids(idx))
+        view._distinct = self._distinct  # a property of the block
+        return view
 
     def node_ids(self, idx: np.ndarray) -> np.ndarray:
         """Node ids of rows idx, -1 kept; idx itself unless a view, whose
@@ -215,14 +217,6 @@ class LineageColumn:
         present = idx >= 0
         ids[present] = self.rows[idx[present]]
         return ids
-
-    def atom_texts(self) -> Optional[Iterator[str]]:
-        """Each row's atom id, without building the Atom, when the block
-        is a generator prefix; None for any other block."""
-        if type(self.block) is not str:
-            return None
-        nodes = range(self.n) if self.rows is None else self.rows.tolist()
-        return (_generated_id(self.block, k) for k in nodes)
 
     def rows_distinct_hint(self) -> bool:
         """True only when distinct rows are guaranteed to carry pairwise

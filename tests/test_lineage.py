@@ -361,6 +361,36 @@ class TestGrammar:
         assert parse_lineage("_1 | a1") == Or(Atom("_1"), a1)
 
     @pytest.mark.parametrize(
+        "text,tree",
+        [
+            ("a1", a1),
+            ("_x", Atom("_x")),
+            ("a\u00b2", Atom("a\u00b2")),
+            ("\u00e91", Atom("\u00e91")),
+            (" a1", a1),
+            ("a1 ", a1),
+            ("(a1)", a1),
+        ],
+    )
+    def test_bare_atom_same_with_and_without_parentheses(self, text, tree):
+        # a bare id may be matched whole, but the parenthesized form
+        # always goes through the tokenizer; both must agree
+        assert parse_lineage(text) == tree
+        assert parse_lineage(f"({text})") == tree
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [("\u00b2a", 1), ("1a", 1), ("a-b", 2), ("", 1)],
+    )
+    def test_near_atoms_fail_where_the_tokenizer_stops(self, text, position):
+        with pytest.raises(LineageSyntaxError) as err:
+            parse_lineage(text)
+        assert err.value.position == position
+        with pytest.raises(LineageSyntaxError) as err:
+            parse_lineage(f"({text})")
+        assert err.value.position == position + 1
+
+    @pytest.mark.parametrize(
         "text,printed",
         [
             ("!" * 3000 + "x", "!(" * 2999 + "!x" + ")" * 2999),
