@@ -112,8 +112,8 @@ def _read(fp: TextIO) -> tuple[TpRelation, AtomTable]:
         raise TsvFormatError("line 1: missing header")
     arity = _parse_header(_strip_ends([header])[0], 1)
     # A fact's key is its attributes joined by tabs, which no attribute
-    # holds. Until every key is known, codes number the keys in order of
-    # first sight.
+    # holds. Until every key is known, each new key takes the next free
+    # code; the codes are ranked into fact order at the end.
     first_seen: dict[str, int] = {}
     lams: list = []
     columns = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
@@ -283,10 +283,7 @@ def dump_relation(
         rows = slice(lo, lo + _BLOCK)
         columns = [map(facts.__getitem__, rel.fact_codes[rows].tolist())]
         if with_lineage:
-            if col.rows is None:
-                nodes = np.arange(lo, min(lo + _BLOCK, len(rel)))
-            else:
-                nodes = col.rows[rows]
+            nodes = col.node_ids(np.arange(lo, min(lo + _BLOCK, len(rel))))
             columns.append(_node_texts(col.block, nodes)[0])
         columns.append(map(str, rel.ts_array[rows].tolist()))
         columns.append(map(str, rel.te_array[rows].tolist()))
