@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import AtomTable, LineageColumn, TpRelation
+from .model import AtomTable, Leaf, LineageColumn, TpRelation
 from .sweep import window_table
 
 __all__ = ["GenParams", "generate", "overlapping_factor"]
@@ -81,14 +81,15 @@ def generate(params: GenParams) -> TpRelation:
     nf = params.num_facts
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
+        leaf = Leaf.from_rows([], [])
         return TpRelation(
             (),
             empty,
             empty,
             empty,
             np.empty(0, dtype=np.float64),
-            LineageColumn(params.prefix, 0),
-            {},
+            LineageColumn(leaf, 0),
+            AtomTable((leaf,)),
             is_sorted=True,
         )
 
@@ -124,14 +125,15 @@ def generate(params: GenParams) -> TpRelation:
 
     width = len(str(nf - 1))
     fact_table = tuple((f"f{i:0{width}d}",) for i in range(nf))
+    leaf = Leaf.generated(params.prefix, p_out)
     return TpRelation(
         fact_table,
         codes,
         ts_out,
         te_out,
         p_out,
-        LineageColumn(params.prefix, n),
-        AtomTable(blocks=[(params.prefix, p_out)]),
+        LineageColumn(leaf, n),
+        AtomTable((leaf,)),
         is_sorted=True,
     )
 

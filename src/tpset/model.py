@@ -15,6 +15,8 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import product
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
@@ -27,6 +29,7 @@ __all__ = [
     "TpTuple",
     "TpRelation",
     "Window",
+    "Leaf",
     "AtomTable",
     "RelationError",
     "AtomConflictError",
@@ -118,16 +121,63 @@ class Window(object):
 
 
 # ---------------------------------------------------------------------------
-# lineage column
+# leaves and the lineage column
 #
 # Formula trees for millions of generated tuples would dwarf the numeric
 # columns, so a relation's lineage is a column of node ids into a block
-# and formulas are only materialized per row. A block is a list of
-# formulas (node k is its item k), a generator prefix (node k is the
-# atom '<prefix><k+1>') or the OpBlock a set operation appends over its
-# operands' blocks. No block is ever copied: reordering or filtering a
-# relation only re-indexes its node ids.
+# and formulas are only materialized per row. A block is the Leaf of a
+# base relation, which also owns the atoms its nodes define or mention,
+# or the OpBlock a set operation appends over its operands' blocks. No
+# block is ever copied: reordering or filtering a relation only
+# re-indexes its node ids.
 # ---------------------------------------------------------------------------
+
+
+class Leaf:
+    """The lineage nodes of one base relation and the atoms they define
+    or mention.
+
+    Node k is formulas[k], or, when formulas is None, the generated atom
+    '<prefix><k+1>' with probability p[k]. atoms maps each atom that a
+    bare-atom node defines to its probability and each atom the formulas
+    only mention to None; a generated leaf has its atoms in prefix and p
+    instead. distinct: the nodes are pairwise distinct bare atoms."""
+
+    __slots__ = ("formulas", "atoms", "distinct", "prefix", "p")
+
+    def __init__(self, formulas, atoms, distinct, prefix=None, p=None):
+        self.formulas, self.atoms, self.distinct = formulas, atoms, distinct
+        self.prefix, self.p = prefix, p
+
+    @staticmethod
+    def generated(prefix: str, p: np.ndarray) -> "Leaf":
+        return Leaf(None, {}, True, prefix, p)
+
+    @staticmethod
+    def from_rows(formulas: list, p: list, known: Optional[Mapping] = None) -> "Leaf":
+        """The leaf of rows whose formula k has probability p[k], on top
+        of the known atom probabilities. A row whose lineage is a bare
+        atom defines that atom's probability; every other atom is
+        mentioned. Raises AtomConflictError, which names the row, when a
+        bare atom row contradicts an earlier row or a known value."""
+        if not known and set(map(type, formulas)) <= {Atom}:
+            atoms = dict(zip(map(attrgetter("id"), formulas), p))
+            # one key per row exactly when no id repeats
+            if len(atoms) == len(formulas):
+                return Leaf(formulas, atoms, True)
+        atoms = dict(known or {})
+        for i, (lam, q) in enumerate(zip(formulas, p)):
+            if type(lam) is Atom:
+                prev = atoms.get(lam.id)
+                if prev is None:
+                    atoms[lam.id] = q
+                elif prev != q:
+                    raise AtomConflictError(i, lam.id, prev, q)
+            else:
+                for a in base_atoms(lam):
+                    atoms.setdefault(a, None)
+        ids = {lam.id for lam in formulas if type(lam) is Atom}
+        return Leaf(formulas, atoms, len(ids) == len(formulas))
 
 
 class OpBlock(NamedTuple):
@@ -144,27 +194,21 @@ class OpBlock(NamedTuple):
     right_ids: np.ndarray
 
 
-Block = Union[list, str, OpBlock]
+Block = Union[Leaf, OpBlock]
 
 
-def _generated_id(prefix: str, k: int) -> str:
-    return f"{prefix}{k + 1}"
-
-
-def _leaf(block: Block, k: int) -> Lineage:
-    return Atom(_generated_id(block, k)) if type(block) is str else block[k]
+def _leaf(leaf: Leaf, k: int) -> Lineage:
+    formulas = leaf.formulas
+    return Atom(f"{leaf.prefix}{k + 1}") if formulas is None else formulas[k]
 
 
 class LineageColumn:
     """Row i is node rows[i] of block, or node i when rows is None."""
 
-    __slots__ = ("block", "n", "rows", "_distinct")
+    __slots__ = ("block", "n", "rows")
 
     def __init__(self, block: Block, n: int, rows: Optional[np.ndarray] = None):
-        self.block = block
-        self.n = n
-        self.rows = rows
-        self._distinct: Optional[bool] = None
+        self.block, self.n, self.rows = block, n, rows
 
     def __len__(self) -> int:
         return self.n
@@ -204,9 +248,7 @@ class LineageColumn:
 
     def take(self, idx: np.ndarray) -> "LineageColumn":
         idx = np.asarray(idx, dtype=np.int64)
-        view = LineageColumn(self.block, len(idx), self.node_ids(idx))
-        view._distinct = self._distinct  # a property of the block
-        return view
+        return LineageColumn(self.block, len(idx), self.node_ids(idx))
 
     def node_ids(self, idx: np.ndarray) -> np.ndarray:
         """Node ids of rows idx, -1 kept; idx itself unless a view, whose
@@ -218,94 +260,75 @@ class LineageColumn:
         ids[present] = self.rows[idx[present]]
         return ids
 
-    def rows_distinct_hint(self) -> bool:
-        """True only when distinct rows are guaranteed to carry pairwise
-        non-equivalent formulas. False means unknown. Engine-internal
-        takes use injective index arrays (sort permutations, strictly
-        increasing group starts), so a view keeps its block's
-        guarantee."""
-        block = self.block
-        if type(block) is not list:
-            return type(block) is str
-        if self._distinct is None:
-            # bare atoms with no id repeated: rows are pairwise non-equivalent
-            ids = {lam.id for lam in block if type(lam) is Atom}
-            self._distinct = len(ids) == len(block)
-        return self._distinct
-
 
 # ---------------------------------------------------------------------------
 # atom table
 #
 # The engine asks two questions of its operands' atoms: may the two
-# sides share an atom, and what is each atom's probability. One table
-# per relation answers both.
+# sides share an atom, and what is each atom's probability. A relation's
+# table answers both from the leaves of its base relations, which it
+# holds by identity and never copies.
 # ---------------------------------------------------------------------------
 
 
 _ORDINAL = re.compile("[1-9][0-9]*")
 
 
+def _may_share(a: Leaf, b: Leaf) -> bool:
+    """Whether leaves a and b may mention one atom. A generated leaf
+    covers every id that starts with its prefix, because prefix+ordinal
+    ids collide whenever one prefix extends the other by digits ('t' and
+    't1'); a letter between seed and ordinal ('g1a', 'g12a') keeps
+    generated prefixes apart."""
+    if a.prefix is not None and b.prefix is not None:
+        return a.prefix.startswith(b.prefix) or b.prefix.startswith(a.prefix)
+    if b.prefix is not None:
+        a, b = b, a
+    if a.prefix is not None:
+        return any(x.startswith(a.prefix) for x in b.atoms)
+    return not a.atoms.keys().isdisjoint(b.atoms)
+
+
 class AtomTable(Mapping):
     """The atoms a relation's lineage may mention, as an immutable
-    mapping from atom id to probability.
+    mapping from atom id to probability: a view over the leaves of the
+    relation's base relations.
 
-    Explicit atoms live in one dict; an atom mapped to None there is
-    mentioned without a known probability, so it reads as absent (and
-    probability() raises MissingAtomError for it) but still counts for
-    disjoint(). A block (prefix, p) stands for the generator's atoms
-    '<prefix>k' with probability p[k-1], k = 1..len(p), without ever
-    spelling them out.
+    An atom that a leaf only mentions reads as absent (and probability()
+    raises MissingAtomError for it) unless another leaf defines it, but
+    it still counts for disjoint(). A generated leaf stands for its
+    atoms '<prefix>k' with probability p[k-1], k = 1..len(p), without
+    ever spelling them out.
 
-    Two sources giving one atom different probabilities is a modelling
-    error: merge raises LineageError for explicit atoms, and a lookup
-    raises it for an atom that a block also covers.
+    Two leaves giving one atom different probabilities is a modelling
+    error: merge raises LineageError when both define it explicitly, and
+    a lookup raises it for an atom that a generated leaf also covers.
     """
 
-    __slots__ = ("_atoms", "_blocks")
+    __slots__ = ("leaves", "_dicts", "_generated")
 
-    def __init__(
-        self,
-        atoms: Optional[Mapping[str, Optional[float]]] = None,
-        blocks: Iterable[tuple[str, np.ndarray]] = (),
-    ):
-        self._atoms: dict[str, Optional[float]] = dict(atoms or {})
-        self._blocks = tuple(blocks)
-
-    @staticmethod
-    def from_rows(
-        rows: Iterable[tuple[Lineage, float]],
-        known: Optional[Mapping[str, float]] = None,
-    ) -> "AtomTable":
-        """The table of (lineage, probability) rows on top of the known
-        atom probabilities. A row whose lineage is a bare atom defines
-        that atom's probability; every other atom is mentioned. Raises
-        AtomConflictError, which names the row, when a bare atom row
-        contradicts an earlier row or a known value."""
-        base = known if isinstance(known, AtomTable) else AtomTable(known)
-        atoms = dict(base._atoms)
-        for i, (lam, p) in enumerate(rows):
-            if type(lam) is Atom:
-                prev = atoms.get(lam.id)
-                if prev is None:
-                    atoms[lam.id] = p
-                elif prev != p:
-                    raise AtomConflictError(i, lam.id, prev, p)
-            else:
-                for a in base_atoms(lam):
-                    atoms.setdefault(a, None)
-        return AtomTable(atoms, base._blocks)
+    def __init__(self, leaves: Iterable[Leaf] = ()):
+        self.leaves = tuple(leaves)
+        # the lookup path reads one dict per explicit leaf, then loops
+        # over the generated leaves
+        self._dicts = tuple(x.atoms for x in self.leaves if x.prefix is None)
+        self._generated = tuple(x for x in self.leaves if x.prefix is not None)
 
     def __getitem__(self, key: str) -> float:
-        p = self._atoms.get(key)
-        for prefix, block in self._blocks:
+        p = None
+        for atoms in self._dicts:
+            p = atoms.get(key)
+            if p is not None:
+                break
+        for leaf in self._generated:
+            prefix = leaf.prefix
             digits = key[len(prefix) :]
             if (
                 key.startswith(prefix)
                 and _ORDINAL.fullmatch(digits)
-                and int(digits) <= len(block)
+                and int(digits) <= len(leaf.p)
             ):
-                q = float(block[int(digits) - 1])
+                q = float(leaf.p[int(digits) - 1])
                 if p is not None and p != q:
                     raise LineageError(
                         f"atom {key} has conflicting probabilities {p} and {q}"
@@ -316,53 +339,31 @@ class AtomTable(Mapping):
         return p
 
     def __iter__(self) -> Iterator[str]:
-        keys = [key for key, p in self._atoms.items() if p is not None]
-        for prefix, block in self._blocks:
-            keys += (f"{prefix}{k}" for k in range(1, len(block) + 1))
+        keys = [k for atoms in self._dicts for k, p in atoms.items() if p is not None]
+        for leaf in self._generated:
+            keys += (f"{leaf.prefix}{k}" for k in range(1, len(leaf.p) + 1))
         return iter(dict.fromkeys(keys))  # each key once
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
 
     def disjoint(self, other: "AtomTable") -> bool:
-        """True only when no atom can be mentioned by both tables.
-
-        A block covers every id that starts with its prefix, because
-        prefix+ordinal ids collide whenever one prefix extends the
-        other by digits ('t' and 't1'); a letter between seed and
-        ordinal ('g1a', 'g12a') keeps generated prefixes apart."""
-        if not self._atoms.keys().isdisjoint(other._atoms.keys()):
-            return False
-        for ids, blocks in ((self._atoms, other._blocks), (other._atoms, self._blocks)):
-            for prefix, _ in blocks:
-                if any(a.startswith(prefix) for a in ids):
-                    return False
-        return not any(
-            pa.startswith(pb) or pb.startswith(pa)
-            for pa, _ in self._blocks
-            for pb, _ in other._blocks
-        )
+        """True only when no atom can be mentioned by both tables."""
+        return not any(_may_share(a, b) for a in self.leaves for b in other.leaves)
 
     def merge(self, other: "AtomTable") -> "AtomTable":
-        """The table of both sides' atoms. Raises LineageError when the
-        two give an explicit atom different probabilities."""
-        if other is self:
-            return self
-        atoms = {**self._atoms, **other._atoms}
-        for key in self._atoms.keys() & other._atoms.keys():
-            mine, theirs = self._atoms[key], other._atoms[key]
-            if mine is None or theirs is None:
-                atoms[key] = theirs if mine is None else mine
-            elif mine != theirs:
-                raise LineageError(
-                    f"atom {key} has conflicting probabilities {mine} and {theirs}"
-                )
-        blocks = self._blocks + tuple(
-            b
-            for b in other._blocks
-            if not any(b[0] == a[0] and b[1] is a[1] for a in self._blocks)
-        )
-        return AtomTable(atoms, blocks)
+        """The table over both tables' leaves, each leaf once (by
+        identity), which copies no atoms. Raises LineageError when a new
+        leaf gives an explicit atom another probability than one here."""
+        new = tuple(b for b in other.leaves if all(b is not a for a in self.leaves))
+        for mine, b in product(self._dicts, new):
+            for key in mine.keys() & b.atoms.keys():
+                p, q = mine[key], b.atoms[key]
+                if p is not None and q is not None and p != q:
+                    raise LineageError(
+                        f"atom {key} has conflicting probabilities {p} and {q}"
+                    )
+        return AtomTable(self.leaves + new) if new else self
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +402,8 @@ class TpRelation:
         is_sorted: Optional[bool] = None,
     ):
         """An AtomTable atom_probs must cover every atom of the lineage
-        column; any other mapping is folded into the rows' table, as in
-        from_tuples."""
+        column. Any other mapping is folded, as in from_tuples, into a
+        new leaf of the rows' formulas, which then becomes the column."""
         if any(
             fact_table[i] >= fact_table[i + 1] for i in range(len(fact_table) - 1)
         ):
@@ -412,13 +413,14 @@ class TpRelation:
         self._ts = np.asarray(ts, dtype=np.int64)
         self._te = np.asarray(te, dtype=np.int64)
         self._p = np.asarray(p, dtype=np.float64)
-        self._lineage = lineage
         n = len(self._codes)
         if not (len(self._ts) == len(self._te) == len(self._p) == len(lineage) == n):
             raise RelationError("column lengths differ")
         if not isinstance(atom_probs, AtomTable):
-            rows = zip(map(lineage.get, range(n)), self._p.tolist())
-            atom_probs = AtomTable.from_rows(rows, atom_probs)
+            formulas = list(map(lineage.get, range(n)))
+            leaf = Leaf.from_rows(formulas, self._p.tolist(), atom_probs)
+            lineage, atom_probs = LineageColumn(leaf, n), AtomTable((leaf,))
+        self._lineage = lineage
         self._atom_probs = atom_probs
         if is_sorted is None:
             is_sorted = bool(
@@ -440,10 +442,12 @@ class TpRelation:
     ) -> "TpRelation":
         """Build a relation from row objects.
 
-        Its atom table is the given atom_probs plus an entry for every
-        row whose lineage is a bare atom, and every atom the other rows
-        mention. A bare atom appearing twice with different
-        probabilities is rejected (AtomConflictError).
+        The rows become one leaf: an entry for every row whose lineage
+        is a bare atom, and every atom the other rows mention. A plain
+        mapping atom_probs is folded into that leaf; an AtomTable keeps
+        its leaves, and the rows' leaf joins them (AtomTable.merge). A
+        bare atom appearing twice with different probabilities is
+        rejected (AtomConflictError).
         """
         rows = list(rows)
         arities = {len(t.fact) for t in rows}
@@ -457,14 +461,15 @@ class TpRelation:
         ts = np.fromiter((t.interval.ts for t in rows), dtype=np.int64, count=len(rows))
         te = np.fromiter((t.interval.te for t in rows), dtype=np.int64, count=len(rows))
         p = np.fromiter((t.p for t in rows), dtype=np.float64, count=len(rows))
+        formulas = [t.lineage for t in rows]
+        if isinstance(atom_probs, AtomTable):
+            leaf = Leaf.from_rows(formulas, p.tolist())
+            table = atom_probs.merge(AtomTable((leaf,)))
+        else:
+            leaf = Leaf.from_rows(formulas, p.tolist(), atom_probs)
+            table = AtomTable((leaf,))
         rel = TpRelation(
-            fact_table,
-            codes,
-            ts,
-            te,
-            p,
-            LineageColumn([t.lineage for t in rows], len(rows)),
-            AtomTable.from_rows(((t.lineage, t.p) for t in rows), atom_probs),
+            fact_table, codes, ts, te, p, LineageColumn(leaf, len(rows)), table
         )
         if validate:
             bad = validate_duplicate_free(rel)

@@ -95,7 +95,7 @@ def oracle_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
     runs with an unchanged covering pair share a lineage, and adjacent
     runs whose lineages are equivalent merge, mirroring the definition
     of coalesced output. Probabilities are evaluated per output row
-    against the merged atom table.
+    against both operands' atoms, spelled out.
     """
     r, s = _check_operands(r, s)
     by_fact_r = _rows_by_fact(r)

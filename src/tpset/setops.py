@@ -18,8 +18,9 @@ Output probabilities are exact. When the operands' atom tables
 (model.AtomTable) provably share no atom, the independent formula works
 directly on the operand tuple probabilities, which is what makes the
 million-tuple benchmarks feasible; otherwise each output formula is
-evaluated against the merged atom table, which handles deliberately
-repeated atoms at exponential cost in the number of repeats.
+evaluated against the result's table, a view over both operands' base
+relation leaves, which handles deliberately repeated atoms at
+exponential cost in the number of repeats.
 
 Outputs are snapshot-correct: adjacent output tuples of one fact whose
 lineages are syntactically equivalent get merged, because per-snapshot
@@ -42,6 +43,7 @@ from .lineage import (
     syntactic_equiv,
 )
 from .model import (
+    Leaf,
     LineageColumn,
     OpBlock,
     RelationError,
@@ -123,8 +125,8 @@ def _gather(p: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def apply_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
     """Evaluate one set operation. Operands may arrive unsorted; the
-    result is sorted, duplicate-free and carries the merged atom table
-    of its operands."""
+    result is sorted, duplicate-free and carries the atom table over
+    both operands' leaves."""
     r, s = _check_operands(r, s)
     wt = window_table(r, s)
 
@@ -173,13 +175,12 @@ def apply_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
         col = col.take(idx)
 
     # Merging equivalent adjacent outputs is provably impossible when
-    # the sides share no atoms and neither repeats a formula across its
-    # own rows, because adjacent windows always change the covering
-    # tuple on some side.
+    # the sides share no atoms and each is a leaf of distinct bare atoms
+    # (engine-internal takes are injective), because adjacent windows
+    # always change the covering tuple on some side.
     if not (
         disjoint
-        and rcol.rows_distinct_hint()
-        and scol.rows_distinct_hint()
+        and all(type(b) is Leaf and b.distinct for b in (rcol.block, scol.block))
     ):
         codes, ts, te, p, col = _coalesce(codes, ts, te, p, col)
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 import io
 import os
 from itertools import islice, repeat
-from operator import attrgetter
 from typing import Callable, Optional, TextIO, Union
 
 import numpy as np
@@ -65,9 +64,9 @@ from .model import (
     AtomTable,
     Block,
     DuplicateFreeError,
+    Leaf,
     LineageColumn,
     TpRelation,
-    _generated_id,
     validate_duplicate_free,
 )
 
@@ -132,27 +131,18 @@ def _read(fp: TextIO) -> tuple[TpRelation, AtomTable]:
     codes, ts, te, p = (np.concatenate(parts) for parts in zip(*columns))
     del columns
 
-    col = LineageColumn(lams, len(lams))
-    p_list = p.tolist()
-    table = None
-    if set(map(type, lams)) <= {Atom}:
-        atoms = dict(zip(map(attrgetter("id"), lams), p_list))
-        # one key per row exactly when no id repeats, and then no two
-        # rows are equivalent
-        col._distinct = len(atoms) == len(lams)
-        if col._distinct:
-            table = AtomTable(atoms)
-    if table is None:
-        try:
-            table = AtomTable.from_rows(zip(lams, p_list))
-        except AtomConflictError as e:
-            # row i is on line i + 2, after the header
-            raise TsvFormatError(f"line {e.row + 2}: {e}") from None
+    try:
+        leaf = Leaf.from_rows(lams, p.tolist())
+    except AtomConflictError as e:
+        # row i is on line i + 2, after the header
+        raise TsvFormatError(f"line {e.row + 2}: {e}") from None
+    table = AtomTable((leaf,))
 
     keys = sorted(first_seen, key=lambda key: key.split("\t"))
     rank = np.empty(len(keys), dtype=np.int64)
     rank[[first_seen[key] for key in keys]] = np.arange(len(keys))
     fact_table = tuple(tuple(key.split("\t")) for key in keys)
+    col = LineageColumn(leaf, len(lams))
     rel = TpRelation(fact_table, rank[codes], ts, te, p, col, table)
     bad = validate_duplicate_free(rel)
     if bad is not None:
@@ -311,16 +301,17 @@ def _node_texts(block: Block, nodes: np.ndarray) -> tuple[list[str], list[type]]
     stack: list = [(block, nodes, False)]
     while stack:
         block, nodes, operands_done = stack.pop()
-        if type(block) is str:
-            texts = [_generated_id(block, k) for k in nodes.tolist()]
-            done.append((texts, [Atom] * len(texts)))
-        elif type(block) is list:
-            lams = list(map(block.__getitem__, nodes.tolist()))
-            kinds = list(map(type, lams))
-            texts = [
-                lam.id if kind is Atom else print_lineage(lam)
-                for lam, kind in zip(lams, kinds)
-            ]
+        if type(block) is Leaf:
+            if block.formulas is None:
+                texts = [f"{block.prefix}{k + 1}" for k in nodes.tolist()]
+                kinds = [Atom] * len(texts)
+            else:
+                lams = list(map(block.formulas.__getitem__, nodes.tolist()))
+                kinds = list(map(type, lams))
+                texts = [
+                    lam.id if kind is Atom else print_lineage(lam)
+                    for lam, kind in zip(lams, kinds)
+                ]
             done.append((texts, kinds))
         elif not operands_done:
             left, right = block.left_ids[nodes], block.right_ids[nodes]

@@ -16,11 +16,15 @@ import tpset
 from conftest import rel, rows_key
 from tpset import (
     GenParams,
+    Interval,
+    TpRelation,
+    TpTuple,
     except_,
     generate,
     intersect,
     parse_lineage,
     print_lineage,
+    probability,
     read_relation,
     sort_relation,
     union,
@@ -203,6 +207,50 @@ class TestQuery:
         got, _ = read_relation(io.StringIO(out))
         assert print_lineage(got[0].lineage) == text
         assert text.count("!") == 1000
+
+    def test_conflict_between_files_names_the_atom(self, capsys, tmp_path):
+        # a and c give x different probabilities; b * c holds no row
+        names = []
+        for name, rows in [
+            ("a", [("milk", "x", 0, 5, 0.4)]),
+            ("b", [("milk", "y", 0, 5, 0.5)]),
+            ("c", [("chips", "x", 0, 5, 0.6)]),
+        ]:
+            path = tmp_path / f"{name}.tsv"
+            path.write_text(write_relation(rel(rows)), encoding="utf-8")
+            names.append(str(path))
+        a, b, c = names
+        rc, _, err = run(capsys, ["query", f"{a} + ({b} * {c})"])
+        assert rc == 1
+        assert "atom x has conflicting probabilities" in err
+
+    def test_mentioned_atom_takes_another_files_probability(
+        self, capsys, tmp_path
+    ):
+        # u only mentions x and y; x.tsv and y.tsv define them
+        tables = {
+            "u": [("milk", "x & y", 0, 6, 0.2), ("milk", "x | !y", 6, 9, 0.7)],
+            "x": [("milk", "x", 2, 8, 0.4)],
+            "y": [("milk", "y", 1, 4, 0.5), ("tea", "y", 0, 3, 0.5)],
+        }
+        paths = {}
+        for name, rows in tables.items():
+            r = TpRelation.from_tuples(
+                TpTuple((f,), parse_lineage(lam), Interval(ts, te), p)
+                for f, lam, ts, te, p in rows
+            )
+            paths[name] = tmp_path / f"{name}.tsv"
+            paths[name].write_text(write_relation(r), encoding="utf-8")
+        u, x, y = (read_relation(paths[name])[0] for name in "uxy")
+        out = intersect(u, union(x, y))
+        assert len(out) == 4
+        for t in out:
+            assert probability(t.lineage, out.atom_probs) == t.p
+        rc, text, err = run(
+            capsys, ["query", f"{paths['u']} * ({paths['x']} + {paths['y']})"]
+        )
+        assert (rc, err) == (0, "")
+        assert text == write_relation(out)
 
     def test_dashes_in_file_names(self, capsys, tmp_path, rel_a, rel_c):
         # operators must stand alone, so path components with dashes

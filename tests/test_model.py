@@ -10,20 +10,26 @@ from tpset import (
     And,
     Atom,
     DuplicateFreeError,
+    GenParams,
     Interval,
     LineageError,
     Not,
     Or,
     RelationError,
+    SetOpKind,
     TpRelation,
     TpTuple,
     and_fn,
     and_not_fn,
+    apply_setop,
+    except_,
+    generate,
     or_fn,
     sort_relation,
+    union,
     validate_duplicate_free,
 )
-from tpset.model import AtomTable, LineageColumn, OpBlock
+from tpset.model import AtomTable, Leaf, LineageColumn, OpBlock
 
 
 class TestInterval:
@@ -196,30 +202,37 @@ class TestValidateDuplicateFree:
         assert bad[0].fact == ("a",)
 
 
+def leaf(*formulas) -> Leaf:
+    return Leaf.from_rows(list(formulas), [0.5] * len(formulas))
+
+
+def generated(prefix: str, n: int) -> Leaf:
+    return Leaf.generated(prefix, np.full(n, 0.5))
+
+
 class TestLineageColumns:
     def test_generated_rows(self):
-        col = LineageColumn("g7a", 3)
+        col = LineageColumn(generated("g7a", 3), 3)
         assert col.get(0) == Atom("g7a1")
         assert col.get(2) == Atom("g7a3")
         with pytest.raises(IndexError):
             col.get(3)
-        assert col.rows_distinct_hint()
+        assert col.block.distinct
 
     def test_generated_take_preserves_mapping(self):
-        col = LineageColumn("t", 4).take(np.array([2, 0]))
+        col = LineageColumn(generated("t", 4), 4).take(np.array([2, 0]))
         assert col.get(0) == Atom("t3")
         assert col.get(1) == Atom("t1")
-        assert col.rows_distinct_hint()
+        assert col.block.distinct
 
     def test_formula_list(self):
-        col = LineageColumn([Atom("x"), And(Atom("x"), Atom("y"))], 2)
+        col = LineageColumn(leaf(Atom("x"), And(Atom("x"), Atom("y"))), 2)
         assert col.get(1) == And(Atom("x"), Atom("y"))
-        assert not col.rows_distinct_hint()
+        assert not col.block.distinct
 
     def test_formula_list_of_distinct_bare_atoms(self):
-        assert LineageColumn([Atom("x"), Atom("y")], 2).rows_distinct_hint()
-        col = LineageColumn([Atom("x"), Atom("y"), Atom("x")], 3)
-        assert not col.rows_distinct_hint()
+        assert leaf(Atom("x"), Atom("y")).distinct
+        assert not leaf(Atom("x"), Atom("y"), Atom("x")).distinct
 
     @pytest.mark.parametrize(
         "concat,li,ri,expected",
@@ -233,25 +246,32 @@ class TestLineageColumns:
         ids=lambda v: {and_fn: "and", and_not_fn: "andnot", or_fn: "or"}.get(v),
     )
     def test_operation_block(self, concat, li, ri, expected):
-        left = [Atom("l1"), Atom("l2")]
-        right = [Atom("r1"), Atom("r2")]
+        left = leaf(Atom("l1"), Atom("l2"))
+        right = leaf(Atom("r1"), Atom("r2"))
         block = OpBlock(concat, left, np.array([li]), right, np.array([ri]))
         assert LineageColumn(block, 1).get(0) == expected
 
     def test_or_block_single_side_is_identity(self):
         lam = And(Atom("x"), Atom("y"))
-        block = OpBlock(or_fn, [lam], np.array([0]), [], np.array([-1]))
+        block = OpBlock(or_fn, leaf(lam), np.array([0]), leaf(), np.array([-1]))
         assert LineageColumn(block, 1).get(0) is lam
 
     @pytest.mark.parametrize(
         "col",
         [
-            LineageColumn([Atom("x"), Atom("y")], 2),
-            LineageColumn([Atom("x"), Atom("y")], 2).take(np.array([1, 0])),
-            LineageColumn("g", 2),
-            LineageColumn("g", 4).take(np.array([3, 1])),
+            LineageColumn(leaf(Atom("x"), Atom("y")), 2),
+            LineageColumn(leaf(Atom("x"), Atom("y")), 2).take(np.array([1, 0])),
+            LineageColumn(generated("g", 2), 2),
+            LineageColumn(generated("g", 4), 4).take(np.array([3, 1])),
             LineageColumn(
-                OpBlock(or_fn, "a", np.array([0, 1]), "b", np.array([1, -1])), 2
+                OpBlock(
+                    or_fn,
+                    generated("a", 2),
+                    np.array([0, 1]),
+                    generated("b", 2),
+                    np.array([1, -1]),
+                ),
+                2,
             ),
         ],
         ids=["list", "list-view", "generated", "generated-view", "operation"],
@@ -263,12 +283,12 @@ class TestLineageColumns:
 
     def test_take_of_take_reads_the_materialized_rows(self):
         # two chained operations, then two chained takes of the result
-        x = [Atom("x1"), Atom("x2"), Atom("x3")]
+        x = leaf(Atom("x1"), Atom("x2"), Atom("x3"))
         inner = OpBlock(
-            or_fn, x, np.array([0, 1, 2, 2]), "y", np.array([2, 1, 0, -1])
+            or_fn, x, np.array([0, 1, 2, 2]), generated("y", 3), np.array([2, 1, 0, -1])
         )
         li, ri = np.array([3, 0, 1, 2, 3]), np.array([-1, 0, 1, 2, 3])
-        outer = OpBlock(and_not_fn, inner, li, "z", ri)
+        outer = OpBlock(and_not_fn, inner, li, generated("z", 4), ri)
         col = LineageColumn(outer, 5)
         rows = [col.get(i) for i in range(5)]
         first, second = np.array([4, 0, 2, 3]), np.array([3, 1, 2])
@@ -277,15 +297,20 @@ class TestLineageColumns:
         assert [view.get(i) for i in range(3)] == [rows[first[j]] for j in second]
 
 
+def table(atoms: dict) -> AtomTable:
+    """The table of one leaf that defines or mentions exactly atoms."""
+    return AtomTable((Leaf([], atoms, True),))
+
+
 def block(prefix: str, p=(0.5,)) -> AtomTable:
-    return AtomTable(blocks=[(prefix, np.array(p))])
+    return AtomTable((Leaf.generated(prefix, np.array(p)),))
 
 
 class TestAtomTableDisjoint:
     def test_sets(self):
-        t1 = AtomTable({"a1": 0.1, "a2": 0.2})
-        t2 = AtomTable({"b1": 0.3})
-        t3 = AtomTable({"a2": 0.2, "c1": 0.4})
+        t1 = table({"a1": 0.1, "a2": 0.2})
+        t2 = table({"b1": 0.3})
+        t3 = table({"a2": 0.2, "c1": 0.4})
         assert t1.disjoint(t2)
         assert not t1.disjoint(t3)
 
@@ -301,29 +326,87 @@ class TestAtomTableDisjoint:
         assert block("g1a").disjoint(block("g12a"))
 
     def test_ids_vs_prefix(self):
-        ids = AtomTable({"b1": 0.1, "c1": 0.2})
+        ids = table({"b1": 0.1, "c1": 0.2})
         assert not ids.disjoint(block("b"))
         assert not block("b").disjoint(ids)
         assert ids.disjoint(block("a"))
 
     def test_merge_then_disjoint(self):
-        u = AtomTable({"a1": 0.1}).merge(block("b"))
+        u = table({"a1": 0.1}).merge(block("b"))
         assert not u.disjoint(block("b"))
-        assert not u.disjoint(AtomTable({"a1": 0.1}))
-        assert u.disjoint(AtomTable({"c9": 0.1}))
+        assert not u.disjoint(table({"a1": 0.1}))
+        assert u.disjoint(table({"c9": 0.1}))
 
     def test_mentioned_atom_without_probability(self):
-        t = AtomTable({"u1": None, "x": 0.5})
+        t = table({"u1": None, "x": 0.5})
         assert "u1" not in t
         with pytest.raises(KeyError):
             t["u1"]
         assert dict(t) == {"x": 0.5}
         assert len(t) == 1
-        assert not t.disjoint(AtomTable({"u1": 0.3}))
-        assert not AtomTable({"u1": None}).disjoint(AtomTable({"u1": None}))
+        assert not t.disjoint(table({"u1": 0.3}))
+        assert not table({"u1": None}).disjoint(table({"u1": None}))
         # merging supplies the missing probability from the other side
-        assert t.merge(AtomTable({"u1": 0.3}))["u1"] == 0.3
-        assert AtomTable({"u1": 0.3}).merge(t)["u1"] == 0.3
+        assert t.merge(table({"u1": 0.3}))["u1"] == 0.3
+        assert table({"u1": 0.3}).merge(t)["u1"] == 0.3
+
+
+class TestLeavesByIdentity:
+    def test_operation_result_holds_its_operands_leaves(self, rel_a, rel_c):
+        for kind in SetOpKind:
+            out = apply_setop(kind, rel_a, rel_c)
+            for r in (rel_a, rel_c):
+                assert r.lineage_column.block in out.atom_probs.leaves
+            assert len(out.atom_probs.leaves) == 2
+
+    def test_deep_query_over_two_relations_keeps_two_leaves(self):
+        # b - (a - (b - (a - ... a))), 1000 differences deep
+        a = rel([("milk", "x", 0, 5, 0.5)])
+        b = rel([("milk", "y", 0, 5, 0.5)])
+        out = a
+        for i in range(1000):
+            out = except_(b if i % 2 == 0 else a, out)
+        leaves = out.atom_probs.leaves
+        assert len(leaves) == 2
+        assert {id(x) for x in leaves} == {
+            id(a.lineage_column.block),
+            id(b.lineage_column.block),
+        }
+
+    def test_generated_relation_column_is_its_tables_leaf(self):
+        g = generate(GenParams(100, 4, 3, 1, seed=2))
+        assert g.atom_probs.leaves == (g.lineage_column.block,)
+        assert g.lineage_column.block.prefix == "g2a"
+
+    def test_merge_copies_no_leaf(self):
+        x, y = table({"x": 0.5}), block("t")
+        u = x.merge(y)
+        assert u.leaves[0] is x.leaves[0] and u.leaves[1] is y.leaves[0]
+        assert u.merge(x) is u
+        assert x.merge(x) is x
+
+
+class TestAtomTableFromTuples:
+    def test_a_generated_table_keeps_its_atoms(self):
+        g = generate(GenParams(1000, 10, 3, 1, seed=3))
+        mentions = TpRelation.from_tuples(
+            [TpTuple(("f9",), And(Atom("u"), Atom("v")), Interval(0, 1), 0.3)]
+        )
+        known = union(g, mentions).atom_probs
+        r = TpRelation.from_tuples(
+            [TpTuple(("f",), Atom("x"), Interval(0, 1), 0.25)], atom_probs=known
+        )
+        t = r.atom_probs
+        assert len(t) == 1001
+        assert t["x"] == 0.25
+        for k in (0, 500, 999):
+            assert t[g[k].lineage.id] == g[k].p
+        for miss in ("g3a0", "g3a1001", "u", "v"):
+            assert miss not in t
+        assert not t.disjoint(g.atom_probs)
+        assert not t.disjoint(rel([("f", "u", 0, 1, 0.5)]).atom_probs)
+        assert not t.disjoint(rel([("f", "x", 0, 1, 0.25)]).atom_probs)
+        assert t.disjoint(rel([("f", "z", 0, 1, 0.5)]).atom_probs)
 
 
 class TestAtomTableLookups:
@@ -336,7 +419,7 @@ class TestAtomTableLookups:
         assert dict(t) == {"t1": 0.25, "t2": 0.5}
 
     def test_merged(self):
-        t = AtomTable({"a": 0.1}).merge(AtomTable({"b": 0.2}))
+        t = table({"a": 0.1}).merge(table({"b": 0.2}))
         assert t["a"] == 0.1
         assert t["b"] == 0.2
         assert "c" not in t
@@ -344,36 +427,36 @@ class TestAtomTableLookups:
         assert len(t) == 2
 
     def test_merged_block_and_ids(self):
-        t = block("t", [0.25, 0.5]).merge(AtomTable({"a": 0.1, "t2": 0.5}))
+        t = block("t", [0.25, 0.5]).merge(table({"a": 0.1, "t2": 0.5}))
         assert dict(t) == {"a": 0.1, "t1": 0.25, "t2": 0.5}
         assert len(t) == 3
 
     def test_conflicting_explicit_probability_raises_at_merge(self):
         with pytest.raises(LineageError):
-            AtomTable({"a": 0.1}).merge(AtomTable({"a": 0.2}))
+            table({"a": 0.1}).merge(table({"a": 0.2}))
 
     def test_conflict_with_a_block_raises_on_lookup(self):
-        t = block("t", [0.25]).merge(AtomTable({"t1": 0.3}))
+        t = block("t", [0.25]).merge(table({"t1": 0.3}))
         with pytest.raises(LineageError):
             t["t1"]
 
     def test_agreeing_duplicate(self):
-        t = AtomTable({"a": 0.1}).merge(AtomTable({"a": 0.1}))
+        t = table({"a": 0.1}).merge(table({"a": 0.1}))
         assert t["a"] == 0.1
-        assert block("t", [0.25]).merge(AtomTable({"t1": 0.25}))["t1"] == 0.25
+        assert block("t", [0.25]).merge(table({"t1": 0.25}))["t1"] == 0.25
 
     def test_relation_table_mentions_compound_atoms(self):
         r = TpRelation.from_tuples(
             [TpTuple(("f",), And(Atom("x"), Atom("y")), Interval(0, 1), 0.3)]
         )
         assert dict(r.atom_probs) == {}
-        assert not r.atom_probs.disjoint(AtomTable({"y": 0.5}))
+        assert not r.atom_probs.disjoint(table({"y": 0.5}))
 
     def test_constructor_folds_a_plain_mapping_into_the_table(self):
-        col = LineageColumn([Atom("x"), And(Atom("y"), Atom("z"))], 2)
+        col = LineageColumn(leaf(Atom("x"), And(Atom("y"), Atom("z"))), 2)
         r = TpRelation(
             (("f",),), [0, 0], [0, 1], [1, 2], [0.4, 0.3], col, {"z": 0.9}
         )
         assert isinstance(r.atom_probs, AtomTable)
         assert dict(r.atom_probs) == {"x": 0.4, "z": 0.9}
-        assert not r.atom_probs.disjoint(AtomTable({"y": None}))
+        assert not r.atom_probs.disjoint(table({"y": None}))

@@ -435,6 +435,13 @@ class TestProbabilityEnvironments:
         with pytest.raises(LineageError):
             intersect(r, s)
 
+    def test_conflict_raises_when_no_output_row_holds_the_atom(self):
+        # the facts differ, so the intersection has no row at all
+        r = rel([("f", "x", 0, 5, 0.4)])
+        s = rel([("g", "x", 0, 5, 0.5)])
+        with pytest.raises(LineageError, match="atom x"):
+            intersect(r, s)
+
     def test_shared_atom_same_probability_ok(self):
         r = rel([("f", "x", 0, 5, 0.4)])
         s = rel([("f", "x", 3, 8, 0.4)])

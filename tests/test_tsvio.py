@@ -571,21 +571,27 @@ class TestWriteLambdas:
         assert write_relation(back) == text
 
 
-class TestReadDistinctHint:
+class TestReadLeaf:
+    def test_column_block_is_the_tables_leaf(self):
+        text = H + "tea\tx2\t5\t8\t0.5\nmilk\tx1 & y\t0\t4\t0.5\n"
+        r, env = read_relation(io.StringIO(text))
+        assert r.atom_probs is env
+        assert env.leaves == (r.lineage_column.block,)
+
     def test_bare_atom_rows(self):
         text = H + "tea\tx2\t5\t8\t0.5\nmilk\tx1\t0\t4\t0.5\n"
         r, _ = read_relation(io.StringIO(text))
-        assert r.lineage_column.rows_distinct_hint()
-        assert sort_relation(r).lineage_column.rows_distinct_hint()
+        assert r.lineage_column.block.distinct
+        assert sort_relation(r).lineage_column.block.distinct
 
     def test_repeated_atom(self):
         text = H + "tea\tx\t5\t8\t0.5\nmilk\tx\t0\t4\t0.5\n"
         r, env = read_relation(io.StringIO(text))
         assert dict(env) == {"x": 0.5}
-        assert not r.lineage_column.rows_distinct_hint()
-        assert not sort_relation(r).lineage_column.rows_distinct_hint()
+        assert not r.lineage_column.block.distinct
+        assert not sort_relation(r).lineage_column.block.distinct
 
     def test_compound_rows(self):
         r, env = read_relation(io.StringIO(H + "milk\tx & y\t0\t4\t0.5\n"))
         assert dict(env) == {}
-        assert not r.lineage_column.rows_distinct_hint()
+        assert not r.lineage_column.block.distinct
