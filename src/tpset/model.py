@@ -124,12 +124,12 @@ class Window(object):
 # leaves and the lineage column
 #
 # Formula trees for millions of generated tuples would dwarf the numeric
-# columns, so a relation's lineage is a column of node ids into a block
-# and formulas are only materialized per row. A block is the Leaf of a
-# base relation, which also owns the atoms its nodes define or mention,
-# or the OpBlock a set operation appends over its operands' blocks. No
-# block is ever copied: reordering or filtering a relation only
-# re-indexes its node ids.
+# columns, so a relation's lineage is a column of node ids into a block:
+# the Leaf of a base relation, which also owns the atoms its nodes define
+# or mention, or the OpBlock a set operation appends over its operands'
+# blocks. No block is ever copied: reordering or filtering a relation
+# only re-indexes its node ids. Formulas, and the TSV writer's texts, are
+# built block by block of rows in one bottom-up walk over the blocks.
 # ---------------------------------------------------------------------------
 
 
@@ -196,10 +196,48 @@ class OpBlock(NamedTuple):
 
 Block = Union[Leaf, OpBlock]
 
+# Rows per block of the lineage fold and of the TSV reader and writer:
+# enough that the per-block overhead is noise, few enough that a block's
+# text and objects stay a few MB.
+BLOCK_ROWS = 8192
 
-def _leaf(leaf: Leaf, k: int) -> Lineage:
-    formulas = leaf.formulas
-    return Atom(f"{leaf.prefix}{k + 1}") if formulas is None else formulas[k]
+
+def fold(block: Block, nodes: np.ndarray, leaf: Callable, join: Callable):
+    """The value of the nodes (ids in block, none absent), built bottom
+    up: leaf(leaf, ids) gives the value of a leaf's nodes ids, and
+    join(concat, left_ids, right_ids, left, right) an operation's from
+    the values of its present operand nodes, in order (-1 absent). The
+    walk goes down an explicit stack, since composed queries nest deeper
+    than the recursion limit."""
+    done: list = []
+    stack: list = [(block, nodes, False)]
+    while stack:
+        block, nodes, operands_done = stack.pop()
+        if type(block) is Leaf:
+            done.append(leaf(block, nodes))
+        elif not operands_done:
+            left, right = block.left_ids[nodes], block.right_ids[nodes]
+            stack.append((block, (left, right), True))
+            stack.append((block.right, right[right >= 0], False))
+            stack.append((block.left, left[left >= 0], False))
+        else:
+            right_done = done.pop()
+            done[-1] = join(block.concat, *nodes, done[-1], right_done)
+    return done[0]
+
+
+def _formulas(leaf: Leaf, ids: np.ndarray) -> list[Lineage]:
+    if leaf.formulas is None:
+        return [Atom(f"{leaf.prefix}{k + 1}") for k in ids.tolist()]
+    return list(map(leaf.formulas.__getitem__, ids.tolist()))
+
+
+def _concat(concat, left_ids, right_ids, left, right) -> list[Lineage]:
+    lefts, rights = iter(left), iter(right)
+    return [
+        concat(next(lefts) if li >= 0 else None, next(rights) if ri >= 0 else None)
+        for li, ri in zip(left_ids.tolist(), right_ids.tolist())
+    ]
 
 
 class LineageColumn:
@@ -214,37 +252,16 @@ class LineageColumn:
         return self.n
 
     def get(self, i: int) -> Lineage:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        # Composed queries chain operations deeper than the recursion
-        # limit, so the walk descends left first and stacks each
-        # operation's concat below its right operand's (block, node)
-        # pair. An operation over two leaf blocks concats at once, so
-        # the common one-operation case never touches the stack.
-        block, k = self.block, (i if self.rows is None else int(self.rows[i]))
-        out: list[Optional[Lineage]] = []
-        todo: list = []
-        while True:
-            if k < 0:
-                out.append(None)
-            elif type(block) is not OpBlock:
-                out.append(_leaf(block, k))
-            else:
-                left, right = block.left, block.right
-                li, ri = int(block.left_ids[k]), int(block.right_ids[k])
-                if type(left) is OpBlock or type(right) is OpBlock:
-                    todo += (block.concat, (right, ri))
-                    block, k = left, li
-                    continue
-                lam = _leaf(left, li) if li >= 0 else None
-                lam2 = _leaf(right, ri) if ri >= 0 else None
-                out.append(block.concat(lam, lam2))
-            while todo and type(todo[-1]) is not tuple:
-                lam = out.pop()
-                out[-1] = todo.pop()(out[-1], lam)
-            if not todo:
-                return out[0]
-            block, k = todo.pop()
+        return next(self.lineages([i]))
+
+    def lineages(self, idx) -> Iterator[Lineage]:
+        """The formulas of rows idx, folded BLOCK_ROWS rows at a time."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if len(idx) and not (idx.min() >= 0 and idx.max() < self.n):
+            raise IndexError(f"rows outside [0, {self.n})")
+        for lo in range(0, len(idx), BLOCK_ROWS):
+            nodes = self.node_ids(idx[lo : lo + BLOCK_ROWS])
+            yield from fold(self.block, nodes, _formulas, _concat)
 
     def take(self, idx: np.ndarray) -> "LineageColumn":
         idx = np.asarray(idx, dtype=np.int64)
@@ -417,7 +434,7 @@ class TpRelation:
         if not (len(self._ts) == len(self._te) == len(self._p) == len(lineage) == n):
             raise RelationError("column lengths differ")
         if not isinstance(atom_probs, AtomTable):
-            formulas = list(map(lineage.get, range(n)))
+            formulas = list(lineage.lineages(np.arange(n)))
             leaf = Leaf.from_rows(formulas, self._p.tolist(), atom_probs)
             lineage, atom_probs = LineageColumn(leaf, n), AtomTable((leaf,))
         self._lineage = lineage
@@ -526,21 +543,22 @@ class TpRelation:
     def row(self, i: int) -> TpTuple:
         if not -len(self) <= i < len(self):
             raise IndexError(i)
-        if i < 0:
-            i += len(self)
-        return TpTuple(
-            self._fact_table[int(self._codes[i])],
-            self._lineage.get(i),
-            Interval(int(self._ts[i]), int(self._te[i])),
-            float(self._p[i]),
-        )
+        return next(self._rows([i % len(self)]))
 
     def __getitem__(self, i: int) -> TpTuple:
         return self.row(i)
 
     def __iter__(self) -> Iterator[TpTuple]:
-        for i in range(len(self)):
-            yield self.row(i)
+        return self._rows(range(len(self)))
+
+    def _rows(self, idx) -> Iterator[TpTuple]:
+        for i, lam in zip(idx, self._lineage.lineages(idx)):
+            yield TpTuple(
+                self._fact_table[int(self._codes[i])],
+                lam,
+                Interval(int(self._ts[i]), int(self._te[i])),
+                float(self._p[i]),
+            )
 
     def __repr__(self) -> str:
         return (

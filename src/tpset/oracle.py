@@ -55,13 +55,13 @@ class Snapshot:
 
 def timeslice(rel: TpRelation, t: int) -> Snapshot:
     """The snapshot of a relation at chronon t."""
-    mask = (rel.ts_array <= t) & (t < rel.te_array)
+    idx = np.flatnonzero((rel.ts_array <= t) & (t < rel.te_array))
     entries: dict[Fact, Lineage] = {}
-    for i in np.flatnonzero(mask):
+    for i, lam in zip(idx.tolist(), rel.lineage_column.lineages(idx)):
         fact = rel.fact_table[int(rel.fact_codes[i])]
         if fact in entries:
-            raise DuplicateFreeError(rel.row(int(i)), rel.row(int(i)))
-        entries[fact] = rel.lineage_column.get(int(i))
+            raise DuplicateFreeError(rel.row(i), rel.row(i))
+        entries[fact] = lam
     return Snapshot(t, entries)
 
 

@@ -157,7 +157,7 @@ def apply_setop(kind: SetOpKind, r: TpRelation, s: TpRelation) -> TpRelation:
         )
     else:
         p = np.fromiter(
-            (probability(col.get(i), env) for i in range(len(ri))),
+            (probability(lam, env) for lam in col.lineages(np.arange(len(ri)))),
             dtype=np.float64,
             count=len(ri),
         )
@@ -214,8 +214,10 @@ def _coalesce(codes, ts, te, p, col: LineageColumn):
     if len(cand_idx) == 0:
         return codes, ts, te, p, col
     merge_prev = np.zeros(n, dtype=bool)
-    for i in cand_idx:
-        if syntactic_equiv(col.get(int(i)), col.get(int(i) + 1)):
+    # one fold over each candidate row and its successor, read in pairs
+    lams = col.lineages(np.column_stack((cand_idx, cand_idx + 1)).ravel())
+    for i, lam, lam2 in zip(cand_idx.tolist(), lams, lams):
+        if syntactic_equiv(lam, lam2):
             merge_prev[i + 1] = True
     if not merge_prev.any():
         return codes, ts, te, p, col

@@ -242,16 +242,16 @@ class WindowTable:
         return int(np.count_nonzero((self.r_idx >= 0) & (self.s_idx >= 0)))
 
     def to_windows(self) -> list[Window]:
+        lams_r = self.r_rel.lineage_column.lineages(self.r_idx[self.r_idx >= 0])
+        lams_s = self.s_rel.lineage_column.lineages(self.s_idx[self.s_idx >= 0])
         out = []
-        for i in range(len(self)):
-            ri = int(self.r_idx[i])
-            si = int(self.s_idx[i])
+        for i, r_on, s_on in zip(range(len(self)), self.r_idx >= 0, self.s_idx >= 0):
             out.append(
                 Window(
                     self.fact_table[int(self.fact_codes[i])],
                     Interval(int(self.ts[i]), int(self.te[i])),
-                    self.r_rel.lineage_column.get(ri) if ri >= 0 else None,
-                    self.s_rel.lineage_column.get(si) if si >= 0 else None,
+                    next(lams_r) if r_on else None,
+                    next(lams_s) if s_on else None,
                 )
             )
         return out

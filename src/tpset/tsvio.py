@@ -33,7 +33,7 @@ checks the block's lines together; a faulty block is reported at its
 first faulty line, with the check that line fails first. It builds no
 row objects, only each row's formula. The writer converts each block's
 columns with tolist() and composes each lambda from its operands'
-texts, block by block of the lineage column, so no row's formula is
+texts in the lineage column's fold (model.fold), so no row's formula is
 rebuilt or printed again.
 """
 
@@ -60,13 +60,14 @@ from .lineage import (
     print_lineage,
 )
 from .model import (
+    BLOCK_ROWS,
     AtomConflictError,
     AtomTable,
-    Block,
     DuplicateFreeError,
     Leaf,
     LineageColumn,
     TpRelation,
+    fold,
     validate_duplicate_free,
 )
 
@@ -74,10 +75,6 @@ __all__ = ["TsvFormatError", "read_relation", "write_relation", "dump_relation"]
 
 _TAIL_COLUMNS = ("lambda", "ts", "te", "p")
 _TIME_BOUND = 2**62
-# Lines per block of the reader, rows per block of the writer: enough
-# that the per-block overhead is noise, few enough that a block's text
-# and objects stay a few MB.
-_BLOCK = 8192
 
 
 class TsvFormatError(ValueError):
@@ -118,7 +115,7 @@ def _read(fp: TextIO) -> tuple[TpRelation, AtomTable]:
     columns = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
     lineno = 2
     while True:
-        chunk = _strip_ends(list(islice(lines, _BLOCK)))
+        chunk = _strip_ends(list(islice(lines, BLOCK_ROWS)))
         if not chunk:
             break
         keys, chunk_lams, ts, te, p = _read_block(chunk, lineno, arity)
@@ -269,12 +266,12 @@ def dump_relation(
                 )
         facts.append("\t".join(fact))
     col = rel.lineage_column
-    for lo in range(0, len(rel), _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
+    for lo in range(0, len(rel), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
         columns = [map(facts.__getitem__, rel.fact_codes[rows].tolist())]
         if with_lineage:
-            nodes = col.node_ids(np.arange(lo, min(lo + _BLOCK, len(rel))))
-            columns.append(_node_texts(col.block, nodes)[0])
+            nodes = col.node_ids(np.arange(lo, min(lo + BLOCK_ROWS, len(rel))))
+            columns.append(fold(col.block, nodes, _leaf_texts, _join)[0])
         columns.append(map(str, rel.ts_array[rows].tolist()))
         columns.append(map(str, rel.te_array[rows].tolist()))
         if with_prob:
@@ -291,37 +288,16 @@ def _p_texts(p: np.ndarray) -> list[str]:
     return texts
 
 
-def _node_texts(block: Block, nodes: np.ndarray) -> tuple[list[str], list[type]]:
-    """The text print_lineage gives each of the nodes (ids in block) and
-    its node class. An operation's node joins the texts of its operand
-    nodes, which an earlier pass over the operands' blocks gives; the
-    passes go down an explicit stack, since composed queries nest deeper
-    than the recursion limit."""
-    done: list[tuple[list[str], list[type]]] = []
-    stack: list = [(block, nodes, False)]
-    while stack:
-        block, nodes, operands_done = stack.pop()
-        if type(block) is Leaf:
-            if block.formulas is None:
-                texts = [f"{block.prefix}{k + 1}" for k in nodes.tolist()]
-                kinds = [Atom] * len(texts)
-            else:
-                lams = list(map(block.formulas.__getitem__, nodes.tolist()))
-                kinds = list(map(type, lams))
-                texts = [
-                    lam.id if kind is Atom else print_lineage(lam)
-                    for lam, kind in zip(lams, kinds)
-                ]
-            done.append((texts, kinds))
-        elif not operands_done:
-            left, right = block.left_ids[nodes], block.right_ids[nodes]
-            stack.append((block, (left, right), True))
-            stack.append((block.right, right[right >= 0], False))
-            stack.append((block.left, left[left >= 0], False))
-        else:
-            right_done = done.pop()
-            done[-1] = _join(block.concat, *nodes, done[-1], right_done)
-    return done[0]
+def _leaf_texts(leaf: Leaf, ids: np.ndarray) -> tuple[list[str], list[type]]:
+    """The text print_lineage gives each of the leaf's nodes ids, and its
+    node class; a generated atom's text is spelled out, with no Atom."""
+    if leaf.formulas is None:
+        texts = [f"{leaf.prefix}{k + 1}" for k in ids.tolist()]
+        return texts, [Atom] * len(texts)
+    lams = list(map(leaf.formulas.__getitem__, ids.tolist()))
+    kinds = list(map(type, lams))
+    texts = [lam.id if k is Atom else print_lineage(lam) for lam, k in zip(lams, kinds)]
+    return texts, kinds
 
 
 def _template(op: type, negate: bool, left: type, right: type) -> tuple[str, str, str]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import rel
+from conftest import rel, rows_key
 from tpset import (
     And,
     Atom,
@@ -29,7 +29,11 @@ from tpset import (
     union,
     validate_duplicate_free,
 )
+from tpset.lineage import print_lineage
 from tpset.model import AtomTable, Leaf, LineageColumn, OpBlock
+from tpset.oracle import oracle_setop
+from tpset.sweep import window_table, windows
+from tpset.tsvio import write_relation
 
 
 class TestInterval:
@@ -295,6 +299,159 @@ class TestLineageColumns:
         view = col.take(first).take(second)
         assert type(view.block) is OpBlock and view.block is outer
         assert [view.get(i) for i in range(3)] == [rows[first[j]] for j in second]
+
+
+def node_formula(block, k):
+    """Node k of block, built recursively: the reference for the fold."""
+    if type(block) is Leaf:
+        if block.formulas is None:
+            return Atom(f"{block.prefix}{k + 1}")
+        return block.formulas[k]
+    li, ri = int(block.left_ids[k]), int(block.right_ids[k])
+    return block.concat(
+        node_formula(block.left, li) if li >= 0 else None,
+        node_formula(block.right, ri) if ri >= 0 else None,
+    )
+
+
+def across_blocks() -> LineageColumn:
+    # two generated leaves under one union, 2 x 8,192 + 3 rows, every
+    # 7th row without its right side
+    n = 2 * 8192 + 3
+    right = np.arange(n)[::-1].copy()
+    right[::7] = -1
+    return LineageColumn(
+        OpBlock(or_fn, generated("a", n), np.arange(n), generated("b", n), right), n
+    )
+
+
+def sample_columns() -> dict[str, LineageColumn]:
+    x = leaf(Atom("x1"), And(Atom("x1"), Atom("y")), Atom("x2"))
+    inner = OpBlock(
+        or_fn, x, np.array([0, 1, 2, 2]), generated("y", 3), np.array([2, 1, 0, -1])
+    )
+    outer = OpBlock(
+        and_not_fn, inner, np.array([3, 0, 1, 2, 3]), generated("z", 4),
+        np.array([-1, 0, 1, 2, 3]),
+    )
+    r = rel([("f", "r1", 0, 5, 0.4), ("f", "r2", 5, 9, 0.5), ("g", "r3", 1, 3, 0.6)])
+    s = rel([("f", "s1", 2, 7, 0.3)])
+    absent = union(r, except_(s, s)).lineage_column
+    return {
+        "list": LineageColumn(x, 3),
+        "list-view": LineageColumn(x, 3).take(np.array([2, 2, 0])),
+        "generated": LineageColumn(generated("g", 4), 4),
+        "generated-view": LineageColumn(generated("g", 4), 4).take(np.array([3, 1])),
+        "operation": LineageColumn(outer, 5),
+        "operation-view": LineageColumn(outer, 5).take(np.array([4, 0, 2])),
+        "absent-side": absent,
+        "absent-side-view": absent.take(np.array([2, 0])),
+        "across-blocks": across_blocks(),
+        "across-blocks-view": across_blocks().take(np.arange(2 * 8192 + 3)[::-1]),
+    }
+
+
+class TestLineageFold:
+    """LineageColumn.lineages folds rows block by block; get is one row
+    of it."""
+
+    @pytest.mark.parametrize("name", list(sample_columns()))
+    def test_lineages_equal_get_and_the_recursive_reference(self, name):
+        col = sample_columns()[name]
+        idx = np.arange(len(col))
+        got = list(col.lineages(idx))
+        assert got == [col.get(i) for i in idx]
+        nodes = idx if col.rows is None else col.rows
+        assert got == [node_formula(col.block, int(k)) for k in nodes]
+
+    def test_rows_out_of_order_and_repeated(self):
+        col = sample_columns()["operation"]
+        idx = np.array([4, 0, 4, 2, 2])
+        assert list(col.lineages(idx)) == [col.get(i) for i in idx]
+
+    def test_absent_side_has_minus_one_ids(self):
+        col = sample_columns()["absent-side"]
+        assert type(col.block) is OpBlock and (col.block.right_ids < 0).all()
+
+    def test_empty_rows(self):
+        for col in sample_columns().values():
+            assert list(col.lineages(np.array([], dtype=np.int64))) == []
+
+    @pytest.mark.parametrize("i", [-1, 5])
+    def test_rows_outside_the_column_raise(self, i):
+        col = sample_columns()["operation"]
+        with pytest.raises(IndexError):
+            list(col.lineages([0, i]))
+
+    def test_chain_of_1200_unions(self):
+        # deeper than the recursion limit, so compared as text
+        out = rel([("milk", "x0", 0, 5, 0.5)])
+        for i in range(1, 1200):
+            out = union(out, rel([("milk", f"x{i}", 0, 5, 0.5)]))
+        col = out.lineage_column
+        (lam,) = col.lineages([0])
+        chain = " | ".join(f"x{i}" for i in range(1200))
+        assert print_lineage(lam) == print_lineage(col.get(0)) == chain
+
+    def test_iteration_equals_rows(self):
+        out = union(except_(rel_abc("a"), rel_abc("b")), intersect_abc())
+        assert len(out) > 3
+        assert list(out) == [out.row(i) for i in range(len(out))]
+        assert out.row(-1) == out.row(len(out) - 1)
+
+
+def rel_abc(name: str) -> TpRelation:
+    # each name shifts its intervals, so windows cover one side or both
+    k = "abc".index(name)
+    return rel(
+        [
+            ("milk", f"{name}1", 1 + k, 6 + k, 0.3),
+            ("milk", f"{name}2", 6 + k, 9 + k, 0.6),
+            ("chips", f"{name}3", 2 - k, 7 - k, 0.8),
+        ]
+    )
+
+
+def intersect_abc() -> TpRelation:
+    return apply_setop(SetOpKind.INTERSECTION, rel_abc("a"), rel_abc("c"))
+
+
+class TestNoSingleRowGet:
+    """Every path that reads many rows' lineage goes through the fold,
+    never through LineageColumn.get, one row at a time."""
+
+    @pytest.fixture(autouse=True)
+    def no_get(self, monkeypatch):
+        def get(self, i):
+            raise AssertionError("LineageColumn.get called")
+
+        monkeypatch.setattr(LineageColumn, "get", get)
+
+    def test_per_row_probability_path(self):
+        left, right = except_(rel_abc("a"), rel_abc("b")), intersect_abc()
+        # both sides reach a's leaf, so the tables are not disjoint
+        assert not left.atom_probs.disjoint(right.atom_probs)
+        out = union(left, right)
+        assert rows_key(out) == rows_key(oracle_setop(SetOpKind.UNION, left, right))
+
+    def test_coalesce_with_a_merge(self):
+        r = rel([("f", "x", 0, 5, 0.4), ("f", "x", 5, 9, 0.4)])
+        out = union(r, TpRelation.from_tuples([]))
+        assert len(out) == 1 and (out.ts_array[0], out.te_array[0]) == (0, 9)
+
+    def test_dump_of_a_composed_result(self):
+        out = union(except_(rel_abc("a"), rel_abc("b")), intersect_abc())
+        assert write_relation(out).count("\n") == len(out) + 1
+
+    def test_iteration(self):
+        out = union(except_(rel_abc("a"), rel_abc("b")), intersect_abc())
+        assert len(list(out)) == len(out)
+
+    def test_to_windows(self):
+        r, s = except_(rel_abc("a"), rel_abc("b")), rel_abc("c")
+        wins = window_table(r, s).to_windows()
+        assert any(w.lam_r is None for w in wins) and any(w.lam_s is None for w in wins)
+        assert wins == windows(r, s)
 
 
 def table(atoms: dict) -> AtomTable:
